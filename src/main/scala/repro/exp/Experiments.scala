@@ -137,10 +137,11 @@ object Experiments {
       : Seq[(String, Seq[Metrics.Score])] = {
     import spark.implicits._
     val commFeats = precomputed.map(_.commFeats).getOrElse {
+      val p = LoCEC.Params()
       val inner = EgoNetworks.egoInnerEdges(spark, st.edges).cache()
-      val assigns = LocalCommunities.detect(spark, st.edges).cache()
+      val assigns = LocalCommunities.detect(spark, st.edges, p.gnPatienceFrac).cache()
       CommunityFeatures.compute(spark, assigns, inner, st.interactions,
-        st.userFeatures, k = 20, interDims = 7, featDims = 2).cache()
+        st.userFeatures, k = p.k, interDims = p.interDims, featDims = p.featDims).cache()
     }
 
     val labeledAll = st.edges

@@ -17,12 +17,17 @@ object GBDT {
   /** Train on dense rows `x` with string labels `y`. */
   def train(x: Array[Array[Double]], y: Array[String], params: Params = Params()): Model = {
     require(x.length == y.length && x.nonEmpty, "empty or mismatched training data")
+    val width = x(0).length
+    val ragged = x.count(_.length != width)
+    require(ragged == 0, s"$ragged training rows differ in width from row 0 ($width features)")
+    val nonFinite = x.count(_.exists(v => v.isNaN || v.isInfinite))
+    require(nonFinite == 0, s"$nonFinite training rows hold a NaN or infinite feature")
     val classes = y.distinct.sorted
     val k = classes.length
     val classIdx = classes.zipWithIndex.toMap
     val yi = y.map(classIdx)
     val n = x.length
-    val rows = Array.tabulate(n)(identity)
+    val sorted = RegressionTree.presort(x, Array.tabulate(n)(identity))
 
     val scores = Array.fill(n, k)(0.0)
     val trees = Array.newBuilder[Array[RegressionTree.Tree]]
@@ -43,7 +48,7 @@ object GBDT {
           hess(i) = math.max(p * (1.0 - p), 1e-6)
           i += 1
         }
-        roundTrees(c) = RegressionTree.fit(x, grad, hess, rows, treeParams)
+        roundTrees(c) = RegressionTree.fit(sorted, grad, hess, treeParams)
         c += 1
       }
       // update all class scores after the whole round (standard practice)
@@ -90,23 +95,6 @@ object GBDT {
     def predictLabel(xi: Array[Double]): String = {
       val p = predictRaw(xi)
       classes(p.indexOf(p.max))
-    }
-
-    /** "Values of the leaf nodes on the final layers" embedding (He et al.,
-      * ADKDD'14 style): for each (round, class) tree, the value of the leaf
-      * the example lands in. Length = numRounds × numClasses. */
-    def leafEmbedding(xi: Array[Double]): Array[Double] = {
-      val emb = new Array[Double](trees.length * numClasses)
-      var r = 0
-      while (r < trees.length) {
-        var c = 0
-        while (c < numClasses) {
-          emb(r * numClasses + c) = trees(r)(c).predict(xi)
-          c += 1
-        }
-        r += 1
-      }
-      emb
     }
   }
 }

@@ -1,7 +1,5 @@
 package repro.ml
 
-import scala.collection.mutable
-
 /** A CART-style regression tree fit on first/second-order gradients, i.e.
   * the tree booster inside our from-scratch GBDT (substituting the XGBoost
   * library, which is unavailable offline). Split gain and leaf weights use
@@ -23,68 +21,124 @@ object RegressionTree {
   final case class Params(maxDepth: Int = 3, minSamplesLeaf: Int = 5,
                           lambda: Double = 1.0, gamma: Double = 0.0)
 
+  /** The rows of one training call in split-search order: per feature, a
+    * column of values and the rows sorted by that value, ties kept in their
+    * order in `rows` (XGBoost's pre-sorted "column blocks", Chen & Guestrin,
+    * KDD'16 §4.1). The order depends on `x` only, so one presort serves
+    * every tree boosted on the same rows. */
+  final class Presorted private[RegressionTree] (
+      private[RegressionTree] val rows: Array[Int],
+      private[RegressionTree] val cols: Array[Array[Double]],
+      private[RegressionTree] val order: Array[Array[Int]])
+
+  /** Sort `rows` once per feature of `x`. */
+  def presort(x: Array[Array[Double]], rows: Array[Int]): Presorted = {
+    val nFeat = if (rows.isEmpty) 0 else x(rows(0)).length
+    val cols = Array.tabulate(nFeat) { f =>
+      val col = new Array[Double](x.length)
+      rows.foreach(i => col(i) = x(i)(f))
+      col
+    }
+    // a stable sort under java.lang.Double.compare, the order of the
+    // default Ordering[Double]
+    val order = cols.map(col => rows.sortBy(i => col(i))(Ordering.Double.TotalOrdering))
+    new Presorted(rows, cols, order)
+  }
+
   /** Fit a tree on rows `X(i)` with gradients `grad(i)` and hessians
     * `hess(i)` restricted to row indices `rows`. */
   def fit(x: Array[Array[Double]], grad: Array[Double], hess: Array[Double],
-          rows: Array[Int], params: Params): Tree = {
+          rows: Array[Int], params: Params): Tree =
+    fit(presort(x, rows), grad, hess, params)
+
+  /** Fit a tree on presorted rows. Each node owns one segment `[lo, hi)` of
+    * the row list (in `rows` order) and of every feature's sorted list; a
+    * split stably partitions each of them into left then right, so every
+    * list stays in the order a per-node stable sort of the node's rows
+    * would give. */
+  def fit(p: Presorted, grad: Array[Double], hess: Array[Double], params: Params): Tree = {
+    val rs = p.rows.clone()
+    val order = p.order.map(_.clone())
+    val goLeft = new Array[Boolean](if (p.cols.isEmpty) 0 else p.cols(0).length)
+    val buf = new Array[Int](rs.length)
     var nextLeaf = 0
-    def leafValue(rs: Array[Int]): Double = {
-      var g = 0.0; var h = 0.0
-      rs.foreach { i => g += grad(i); h += hess(i) }
-      -g / (h + params.lambda)
-    }
-    def build(rs: Array[Int], depth: Int): Node = {
-      def mkLeaf(): Node = {
-        val id = nextLeaf; nextLeaf += 1
-        Node(-1, 0.0, null, null, leafValue(rs), id)
-      }
-      if (depth >= params.maxDepth || rs.length < 2 * params.minSamplesLeaf) return mkLeaf()
-      val split = bestSplit(x, grad, hess, rs, params)
-      split match {
-        case None => mkLeaf()
-        case Some((f, thr, _)) =>
-          val (l, r) = rs.partition(i => x(i)(f) < thr)
-          if (l.length < params.minSamplesLeaf || r.length < params.minSamplesLeaf) mkLeaf()
-          else Node(f, thr, build(l, depth + 1), build(r, depth + 1), 0.0, -1)
-      }
-    }
-    val root = build(rows, 0)
-    new Tree(root, nextLeaf)
-  }
 
-  /** Exhaustive best split over all features and midpoints. Returns
-    * (feature, threshold, gain) when a positive-gain split exists. */
-  private def bestSplit(x: Array[Array[Double]], grad: Array[Double], hess: Array[Double],
-                        rows: Array[Int], params: Params): Option[(Int, Double, Double)] = {
-    val nFeat = x(rows(0)).length
-    var gTot = 0.0; var hTot = 0.0
-    rows.foreach { i => gTot += grad(i); hTot += hess(i) }
-    val parentScore = gTot * gTot / (hTot + params.lambda)
-
-    var best: (Int, Double, Double) = null
-    var f = 0
-    while (f < nFeat) {
-      val sorted = rows.sortBy(i => x(i)(f))
-      var gl = 0.0; var hl = 0.0
-      var j = 0
-      while (j < sorted.length - 1) {
-        val i = sorted(j)
-        gl += grad(i); hl += hess(i)
-        val v = x(i)(f); val vNext = x(sorted(j + 1))(f)
-        if (v != vNext && j + 1 >= params.minSamplesLeaf &&
-            sorted.length - j - 1 >= params.minSamplesLeaf) {
-          val gr = gTot - gl; val hr = hTot - hl
-          val gain = 0.5 * (gl * gl / (hl + params.lambda) +
-                            gr * gr / (hr + params.lambda) - parentScore) - params.gamma
-          if (gain > 1e-12 && (best == null || gain > best._3)) {
-            best = (f, (v + vNext) / 2.0, gain)
-          }
-        }
+    // move the marked entries of a(lo until hi) to its front, both sides
+    // keeping their order
+    def partition(a: Array[Int], lo: Int, hi: Int): Unit = {
+      var w = lo; var nr = 0; var j = lo
+      while (j < hi) {
+        val i = a(j)
+        if (goLeft(i)) { a(w) = i; w += 1 } else { buf(nr) = i; nr += 1 }
         j += 1
       }
-      f += 1
+      System.arraycopy(buf, 0, a, w, nr)
     }
-    Option(best)
+
+    /** Exhaustive best split over all features and midpoints of a node
+      * whose gradients sum to `gTot` and hessians to `hTot`. Returns
+      * (feature, threshold) when a positive-gain split exists. */
+    def bestSplit(lo: Int, hi: Int, gTot: Double, hTot: Double): Option[(Int, Double)] = {
+      val parentScore = gTot * gTot / (hTot + params.lambda)
+
+      var bestF = -1; var bestThr = 0.0; var bestGain = 0.0
+      var f = 0
+      while (f < order.length) {
+        val col = p.cols(f); val sorted = order(f)
+        var gl = 0.0; var hl = 0.0
+        var j = lo
+        while (j < hi - 1) {
+          val i = sorted(j)
+          gl += grad(i); hl += hess(i)
+          val v = col(i); val vNext = col(sorted(j + 1))
+          if (v != vNext && j - lo + 1 >= params.minSamplesLeaf &&
+              hi - j - 1 >= params.minSamplesLeaf) {
+            val gr = gTot - gl; val hr = hTot - hl
+            val gain = 0.5 * (gl * gl / (hl + params.lambda) +
+                              gr * gr / (hr + params.lambda) - parentScore) - params.gamma
+            if (gain > 1e-12 && (bestF < 0 || gain > bestGain)) {
+              bestF = f; bestThr = (v + vNext) / 2.0; bestGain = gain
+            }
+          }
+          j += 1
+        }
+        f += 1
+      }
+      if (bestF < 0) None else Some((bestF, bestThr))
+    }
+
+    def build(lo: Int, hi: Int, depth: Int): Node = {
+      var g = 0.0; var h = 0.0
+      var j = lo
+      while (j < hi) { g += grad(rs(j)); h += hess(rs(j)); j += 1 }
+      def mkLeaf(): Node = {
+        val id = nextLeaf; nextLeaf += 1
+        Node(-1, 0.0, null, null, -g / (h + params.lambda), id)
+      }
+      if (depth >= params.maxDepth || hi - lo < 2 * params.minSamplesLeaf) return mkLeaf()
+      bestSplit(lo, hi, g, h) match {
+        case None => mkLeaf()
+        case Some((f, thr)) =>
+          val col = p.cols(f)
+          var nl = 0
+          j = lo
+          while (j < hi) {
+            val i = rs(j)
+            goLeft(i) = col(i) < thr
+            if (goLeft(i)) nl += 1
+            j += 1
+          }
+          if (nl < params.minSamplesLeaf || hi - lo - nl < params.minSamplesLeaf) mkLeaf()
+          else {
+            partition(rs, lo, hi)
+            order.foreach(partition(_, lo, hi))
+            val mid = lo + nl
+            Node(f, thr, build(lo, mid, depth + 1), build(mid, hi, depth + 1), 0.0, -1)
+          }
+      }
+    }
+    val root = build(0, rs.length, 0)
+    new Tree(root, nextLeaf)
   }
 
   /** A fitted tree: predict values and leaf indices. */

@@ -83,20 +83,6 @@ class GBDTSpec extends AnyFunSuite {
     }
   }
 
-  test("leafEmbedding has numRounds * numClasses entries") {
-    val (x, y) = blobs(30, 6)
-    val m = GBDT.train(x, y, GBDT.Params(numRounds = 7))
-    assert(m.leafEmbedding(x(0)).length == 7 * 3)
-  }
-
-  test("leafEmbedding differs across well-separated classes") {
-    val (x, y) = blobs(90, 7)
-    val m = GBDT.train(x, y, GBDT.Params(numRounds = 10))
-    val e0 = m.leafEmbedding(Array(0.0, 0.0))
-    val e1 = m.leafEmbedding(Array(4.0, 0.0))
-    assert(e0.toSeq != e1.toSeq)
-  }
-
   test("training is deterministic") {
     val (x, y) = blobs(60, 8)
     val a = GBDT.train(x, y, GBDT.Params(numRounds = 5)).predictProba(x(0))
@@ -118,5 +104,107 @@ class GBDTSpec extends AnyFunSuite {
     val m2 = new java.io.ObjectInputStream(
       new java.io.ByteArrayInputStream(bos.toByteArray)).readObject().asInstanceOf[GBDT.Model]
     assert(m2.predictLabel(x(0)) == m.predictLabel(x(0)))
+  }
+
+  /** Boosting exactly as `GBDT.train` does it, with every tree fit by the
+    * re-sorting oracle. */
+  private def oracleModel(x: Array[Array[Double]], y: Array[String], params: GBDT.Params): GBDT.Model = {
+    def softmax(z: Array[Double]): Array[Double] = {
+      val mx = z.max
+      val e = z.map(v => math.exp(v - mx))
+      val s = e.sum
+      e.map(_ / s)
+    }
+    val classes = y.distinct.sorted
+    val k = classes.length
+    val yi = y.map(classes.zipWithIndex.toMap)
+    val n = x.length
+    val rows = Array.tabulate(n)(identity)
+    val scores = Array.fill(n, k)(0.0)
+    val treeParams = RegressionTree.Params(params.maxDepth, params.minSamplesLeaf,
+                                           params.lambda, params.gamma)
+    val trees = Array.fill(params.numRounds) {
+      val roundTrees = Array.tabulate(k) { c =>
+        val grad = new Array[Double](n)
+        val hess = new Array[Double](n)
+        (0 until n).foreach { i =>
+          val p = softmax(scores(i))(c)
+          grad(i) = p - (if (yi(i) == c) 1.0 else 0.0)
+          hess(i) = math.max(p * (1.0 - p), 1e-6)
+        }
+        RegressionTreeOracle.fit(x, grad, hess, rows, treeParams)
+      }
+      for (i <- 0 until n; c <- 0 until k)
+        scores(i)(c) += params.learningRate * roundTrees(c).predict(x(i))
+      roundTrees
+    }
+    new GBDT.Model(classes, trees, params.learningRate)
+  }
+
+  private def sameRaw(a: GBDT.Model, b: GBDT.Model, xs: Array[Array[Double]]): Unit =
+    xs.foreach { xi =>
+      assert(a.predictRaw(xi).map(java.lang.Double.doubleToRawLongBits).toSeq ==
+             b.predictRaw(xi).map(java.lang.Double.doubleToRawLongBits).toSeq, xi.toSeq)
+    }
+
+  test("predictRaw is bitwise the oracle-driven boosting's on tied features") {
+    val rng = new Random(10)
+    val (xb, y) = blobs(120, 10)
+    // quantize to few levels and add an all-zero and a constant column
+    val x = xb.map(xi => xi.map(v => math.round(v * 2) / 2.0) ++ Array(0.0, 3.0))
+    val params = GBDT.Params(numRounds = 8, maxDepth = 4, minSamplesLeaf = 3)
+    val probes = x ++ Array.fill(20)(Array.fill(4)(rng.nextGaussian() * 3))
+    sameRaw(GBDT.train(x, y, params), oracleModel(x, y, params), probes)
+  }
+
+  test("duplicated rows train like the oracle") {
+    val (x0, y0) = blobs(45, 11)
+    val x = x0 ++ x0.map(_.clone())
+    val y = y0 ++ y0
+    val params = GBDT.Params(numRounds = 6, minSamplesLeaf = 2)
+    val m = GBDT.train(x, y, params)
+    sameRaw(m, oracleModel(x, y, params), x)
+    assert(x.indices.count(i => m.predictLabel(x(i)) == y(i)) > 0.9 * x.length)
+  }
+
+  test("a single class trains single-leaf trees that predict it") {
+    val (x, _) = blobs(20, 12)
+    val m = GBDT.train(x, Array.fill(20)("only"), GBDT.Params(numRounds = 3))
+    assert(m.classes.toSeq == Seq("only"))
+    assert(m.trees.flatten.forall(_.numLeaves == 1))
+    x.foreach { xi =>
+      assert(m.predictLabel(xi) == "only")
+      assert(m.predictProba(xi).toSeq == Seq(1.0))
+    }
+  }
+
+  test("all-constant features give single-leaf trees") {
+    val x = Array.fill(30)(Array(1.0, 0.0, -2.0))
+    val y = Array.tabulate(30)(i => s"c${i % 3}")
+    val m = GBDT.train(x, y, GBDT.Params(numRounds = 4, minSamplesLeaf = 1))
+    assert(m.trees.flatten.forall(_.numLeaves == 1))
+  }
+
+  test("fewer than 2 * minSamplesLeaf rows give single-leaf trees") {
+    val (x, y) = blobs(9, 13)
+    val m = GBDT.train(x, y, GBDT.Params(numRounds = 4, minSamplesLeaf = 5))
+    assert(m.trees.flatten.forall(_.numLeaves == 1))
+  }
+
+  test("rows of differing width are rejected with their count") {
+    val (x, y) = blobs(12, 14)
+    x(3) = Array(1.0)
+    x(7) = Array(1.0, 2.0, 3.0)
+    val e = intercept[IllegalArgumentException](GBDT.train(x, y))
+    assert(e.getMessage.contains("2 training rows differ in width from row 0 (2 features)"), e.getMessage)
+  }
+
+  test("NaN and infinite features are rejected with their count") {
+    val (x, y) = blobs(12, 15)
+    x(2)(1) = Double.NaN
+    x(5)(0) = Double.PositiveInfinity
+    x(9)(1) = Double.NegativeInfinity
+    val e = intercept[IllegalArgumentException](GBDT.train(x, y))
+    assert(e.getMessage.contains("3 training rows hold a NaN or infinite feature"), e.getMessage)
   }
 }
