@@ -17,19 +17,8 @@ object Bench {
   lazy val sizes: Experiments.ModelSizes = Experiments.ModelSizes()
 
   /** Phase I + Phase II feature outputs shared by Tables IV and V. */
-  lazy val precomputed: LoCEC.Precomputed = {
-    import org.apache.spark.storage.StorageLevel
-    val p = LoCEC.Params()
-    val inner = repro.core.EgoNetworks.egoInnerEdges(spark, st.edges)
-      .persist(StorageLevel.MEMORY_AND_DISK)
-    val assigns = repro.core.LocalCommunities.detect(spark, st.edges, p.gnPatienceFrac)
-      .persist(StorageLevel.MEMORY_AND_DISK)
-    val commFeats = repro.core.CommunityFeatures.compute(spark, assigns, inner,
-      st.interactions, st.userFeatures, k = p.k, interDims = p.interDims, featDims = p.featDims)
-      .persist(StorageLevel.MEMORY_AND_DISK)
-    commFeats.count()
-    LoCEC.Precomputed(assigns, commFeats)
-  }
+  lazy val precomputed: LoCEC.Precomputed =
+    LoCEC.divide(spark, st.edges, st.interactions, st.userFeatures, LoCEC.Params())
 
   def banner(title: String): Unit = {
     println("=" * 78)

@@ -18,8 +18,7 @@ class TableIVSuite extends SparkSpec {
     "LoCEC-XGB" -> 0.850, "LoCEC-CNN" -> 0.916)
 
   private lazy val results: Seq[(String, Seq[Metrics.Score])] =
-    Experiments.tableIV(spark, Bench.st, Bench.sizes,
-      precomputed = Some(Bench.precomputed))
+    Experiments.tableIV(spark, Bench.st, Bench.precomputed, Bench.sizes)
 
   private def overall(algo: String): Metrics.Score =
     results.find(_._1 == algo).get._2.last

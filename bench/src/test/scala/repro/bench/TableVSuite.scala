@@ -15,8 +15,7 @@ class TableVSuite extends SparkSpec {
   private val paperOverall = Map("LoCEC-XGB" -> 0.882, "LoCEC-CNN" -> 0.927)
 
   private lazy val results: Seq[(String, Seq[Metrics.Score])] =
-    Experiments.tableV(spark, Bench.st, Bench.sizes,
-      precomputed = Some(Bench.precomputed))
+    Experiments.tableV(spark, Bench.st, Bench.precomputed, Bench.sizes)
 
   private def overall(algo: String): Metrics.Score =
     results.find(_._1 == algo).get._2.last

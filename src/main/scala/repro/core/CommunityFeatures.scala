@@ -17,6 +17,9 @@ final case class CommFeat(ego: Long, comm: Int, size: Int,
     Array.tabulate(rows, cols)((i, j) => flat(i * cols + j))
 }
 
+/** A community with an observed (survey-derived) majority label. */
+final case class LabeledComm(ego: Long, comm: Int, label: String)
+
 /** Phase II feature aggregation (Sec. IV-B-1, Algorithm 1): Eq. 1–2
   * interaction features per member, rows ordered by Eq. 3 tightness. */
 object CommunityFeatures {
@@ -79,7 +82,8 @@ object CommunityFeatures {
 
   /** Distributed Phase II feature computation: join the inner edges with the
     * interaction table, cogroup with the Phase I assignments by ego, and
-    * build every community's matrix in parallel. */
+    * build every community's matrix in parallel. Fails on an interaction
+    * vector of an inner edge whose width is not `interDims`. */
   def compute(spark: SparkSession, assigns: Dataset[EgoAssign],
               innerEdges: DataFrame, interactions: DataFrame,
               userFeatures: collection.Map[Long, Array[Double]],
@@ -98,7 +102,11 @@ object CommunityFeatures {
       else {
         val pairInter = mutable.LinkedHashMap.empty[(Long, Long), Array[Double]]
         is.foreach { case (_, a, b, inter) =>
-          if (inter != null) pairInter((a, b)) = inter.toArray
+          if (inter != null) {
+            require(inter.length == interDims, s"interaction vector of pair ($a, $b) has width " +
+              s"${inter.length}, expected interDims = $interDims")
+            pairInter((a, b)) = inter.toArray
+          }
         }
         val lookup = (u: Long) => bcFeat.value.getOrElse(u, zeros)
         buildForEgo(ego, assignSeq, pairInter, lookup, k, interDims, featDims).iterator
@@ -130,5 +138,20 @@ object CommunityFeatures {
           .orderBy(col("votes").desc, prioUdf($"label").asc, $"label".asc)))
       .where($"rank" === 1)
       .select("ego", "comm", "label")
+  }
+
+  /** Up to `limit` (community, label) training samples: the communities
+    * `labels` can label from `labeledEdges`, taken in (ego, comm) order so
+    * the sub-sample is deterministic. */
+  def labeledSamples(spark: SparkSession, commFeats: Dataset[CommFeat],
+                     labeledEdges: DataFrame, limit: Int): Seq[(CommFeat, String)] = {
+    import spark.implicits._
+    val labeled = labels(spark, commFeats, labeledEdges).as[LabeledComm]
+    commFeats
+      .joinWith(labeled, commFeats("ego") === labeled("ego") && commFeats("comm") === labeled("comm"))
+      .orderBy(col("_1.ego"), col("_1.comm"))
+      .take(limit)
+      .map { case (cf, lc) => (cf, lc.label) }
+      .toSeq
   }
 }

@@ -1,12 +1,8 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
-import org.apache.spark.sql.functions.col
 import org.apache.spark.storage.StorageLevel
 import repro.ml.{CommCNN, GBDT, LogisticRegression}
-
-/** A community with an observed (survey-derived) majority label. */
-final case class LabeledComm(ego: Long, comm: Int, label: String)
 
 /** End-to-end LoCEC (Algorithm 2): division → aggregation → combination,
   * with per-phase wall-clock timings for the Table VI reproduction. */
@@ -38,10 +34,11 @@ object LoCEC {
                           commPreds: Dataset[CommPred], commModel: CommModel,
                           edgePreds: DataFrame, timings: Timings)
 
-  /** Reusable Phase I/II-feature outputs — lets callers (e.g. the Table IV
-    * harness) evaluate both LoCEC variants without re-running division and
-    * aggregation, which are variant-independent. */
-  final case class Precomputed(assigns: Dataset[EgoAssign], commFeats: Dataset[CommFeat])
+  /** Phase I and the Phase II feature matrices, with their wall-clock
+    * seconds. Both are variant-independent, so one `Precomputed` serves
+    * every `label` call on the same network. */
+  final case class Precomputed(assigns: Dataset[EgoAssign], commFeats: Dataset[CommFeat],
+                               phase1Sec: Double, featuresSec: Double)
 
   private def timed[T](body: => T): (T, Double) = {
     val t0 = System.nanoTime()
@@ -49,7 +46,7 @@ object LoCEC {
     (r, (System.nanoTime() - t0) / 1e9)
   }
 
-  /** Run the full pipeline.
+  /** Run the full pipeline: `label(divide(...))`.
     *
     * @param edges        canonical (src, dst) edge list (src < dst)
     * @param interactions (src, dst, inter: array<double>) — sparse; missing
@@ -62,48 +59,53 @@ object LoCEC {
   def run(spark: SparkSession, edges: DataFrame, interactions: DataFrame,
           userFeatures: collection.Map[Long, Array[Double]],
           trainEdges: DataFrame, params: Params = Params(),
-          predictEdges: Option[DataFrame] = None,
-          precomputed: Option[Precomputed] = None): Result = {
+          predictEdges: Option[DataFrame] = None): Result =
+    label(spark, divide(spark, edges, interactions, userFeatures, params), trainEdges,
+      predictEdges.getOrElse(edges.select("src", "dst")), params)
+
+  /** Phase I (ego networks + GN) and the Phase II feature matrices (Eq. 1–3),
+    * both persisted and materialized. The inner edges are listed once, feed
+    * both GN and the features, and are released afterwards, so a later
+    * `divide` over the same edges lists them again rather than reading a
+    * cached copy. Uses `k`, `interDims`, `featDims` and `gnPatienceFrac` of
+    * `params`. */
+  def divide(spark: SparkSession, edges: DataFrame, interactions: DataFrame,
+             userFeatures: collection.Map[Long, Array[Double]],
+             params: Params): Precomputed = {
+    val ((inner, assigns), phase1Sec) = timed {
+      val inner = EgoNetworks.egoInnerEdges(spark, edges).persist(StorageLevel.MEMORY_AND_DISK)
+      val assigns = LocalCommunities.detect(spark, edges, inner, params.gnPatienceFrac)
+        .persist(StorageLevel.MEMORY_AND_DISK)
+      assigns.count()
+      (inner, assigns)
+    }
+    val (commFeats, featuresSec) = timed {
+      val cf = CommunityFeatures.compute(spark, assigns, inner, interactions,
+        userFeatures, params.k, params.interDims, params.featDims)
+        .persist(StorageLevel.MEMORY_AND_DISK)
+      cf.count()
+      cf
+    }
+    inner.unpersist()
+    Precomputed(assigns, commFeats, phase1Sec, featuresSec)
+  }
+
+  /** Training, Phase II classification and Phase III on a `divide` output.
+    * Uses the model fields of `params` (`variant`, `gbdt`, `cnn`, `lr`,
+    * `maxTrainCommunities`).
+    *
+    * @param trainEdges (src, dst, label) observed labels; major types only
+    * @param target     (src, dst) edges to label
+    */
+  def label(spark: SparkSession, pre: Precomputed, trainEdges: DataFrame,
+            target: DataFrame, params: Params): Result = {
     import spark.implicits._
-
-    // ---- Phase I: division — ego networks + local communities ----------
-    val (phase1, phase1Sec) = timed {
-      precomputed match {
-        case Some(p) => (null: DataFrame, p.assigns)
-        case None =>
-          val inner = EgoNetworks.egoInnerEdges(spark, edges).persist(StorageLevel.MEMORY_AND_DISK)
-          val assigns = LocalCommunities.detect(spark, edges, params.gnPatienceFrac)
-            .persist(StorageLevel.MEMORY_AND_DISK)
-          assigns.count()
-          inner.count()
-          (inner, assigns)
-      }
-    }
-    val (inner, assigns) = phase1
-
-    // ---- Phase II (features): Eq. 1–3 community feature matrices -------
-    val (commFeats, phase2aSec) = timed {
-      precomputed match {
-        case Some(p) => p.commFeats
-        case None =>
-          val cf = CommunityFeatures.compute(spark, assigns, inner, interactions,
-            userFeatures, params.k, params.interDims, params.featDims)
-            .persist(StorageLevel.MEMORY_AND_DISK)
-          cf.count()
-          cf
-      }
-    }
+    val Precomputed(assigns, commFeats, phase1Sec, featuresSec) = pre
 
     // ---- model training (the paper trains CommCNN beforehand) ----------
     val (commModel, trainingSec) = timed {
-      val labeled = CommunityFeatures.labels(spark, commFeats, trainEdges).as[LabeledComm]
-      val samples = commFeats
-        .joinWith(labeled, commFeats("ego") === labeled("ego") &&
-                           commFeats("comm") === labeled("comm"))
-        .orderBy(col("_1.ego"), col("_1.comm")) // deterministic sub-sampling
-        .take(params.maxTrainCommunities)
-        .map { case (cf, lc) => (cf, lc.label) }
-        .toSeq
+      val samples = CommunityFeatures.labeledSamples(spark, commFeats, trainEdges,
+        params.maxTrainCommunities)
       require(samples.nonEmpty, "no labeled communities — check trainEdges")
       params.variant match {
         case Xgb => CommunityClassifier.trainXgb(samples, params.gbdt)
@@ -112,7 +114,7 @@ object LoCEC {
     }
 
     // ---- Phase II (classification) -------------------------------------
-    val (commPreds, phase2bSec) = timed {
+    val (commPreds, classifySec) = timed {
       val cp = CommunityClassifier.classify(spark, commFeats, commModel)
         .persist(StorageLevel.MEMORY_AND_DISK)
       cp.count()
@@ -121,7 +123,6 @@ object LoCEC {
 
     // ---- Phase III: combination — Eq. 4 features + LR ------------------
     val (edgePreds, phase3Sec) = timed {
-      val target = predictEdges.getOrElse(edges.select("src", "dst"))
       val allFeats = EdgeLabeler.features(spark,
         target.select("src", "dst").union(trainEdges.select("src", "dst")).distinct(),
         assigns, commPreds).persist(StorageLevel.MEMORY_AND_DISK)
@@ -142,6 +143,6 @@ object LoCEC {
     }
 
     Result(assigns, commFeats, commPreds, commModel, edgePreds,
-      Timings(trainingSec, phase1Sec, phase2aSec + phase2bSec, phase3Sec))
+      Timings(trainingSec, phase1Sec, featuresSec + classifySec, phase3Sec))
   }
 }

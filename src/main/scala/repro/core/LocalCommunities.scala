@@ -39,14 +39,19 @@ object LocalCommunities {
     }
   }
 
-  /** Distributed Phase I: cogroup the (ego, friend) membership pairs with
-    * the (ego, a, b) inner edges and run GN per ego. */
+  /** Distributed Phase I over `edges` alone: builds the inner edges itself. */
   def detect(spark: SparkSession, edges: DataFrame,
-             patienceFrac: Double = 0.5): Dataset[EgoAssign] = {
+             patienceFrac: Double = 0.5): Dataset[EgoAssign] =
+    detect(spark, edges, EgoNetworks.egoInnerEdges(spark, edges), patienceFrac)
+
+  /** Distributed Phase I: cogroup the (ego, friend) membership pairs with
+    * the (ego, a, b) inner edges and run GN per ego.
+    * @param inner `EgoNetworks.egoInnerEdges` of `edges` */
+  def detect(spark: SparkSession, edges: DataFrame, inner: DataFrame,
+             patienceFrac: Double): Dataset[EgoAssign] = {
     import spark.implicits._
     val members = EgoNetworks.egoMembers(spark, edges).as[(Long, Long)]
-    val inner = EgoNetworks.egoInnerEdges(spark, edges).as[(Long, Long, Long)]
-    members.groupByKey(_._1).cogroup(inner.groupByKey(_._1)) { (ego, ms, es) =>
+    members.groupByKey(_._1).cogroup(inner.as[(Long, Long, Long)].groupByKey(_._1)) { (ego, ms, es) =>
       val friends = ms.map(_._2).toArray
       val innerE = es.map(t => (t._2, t._3)).toSeq
       if (friends.isEmpty) Iterator.empty

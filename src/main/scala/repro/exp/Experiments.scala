@@ -92,25 +92,19 @@ object Experiments {
                               maxTrainCommunities: Int = 8000)
 
   /** Table IV: edge classification P/R/F1 for the five algorithms. Returns
-    * algorithm → per-class scores + overall (in insertion order). */
-  def tableIV(spark: SparkSession, st: Setup,
+    * algorithm → per-class scores + overall (in insertion order). Both
+    * LoCEC variants label from `pre`, the `LoCEC.divide` output of `st`. */
+  def tableIV(spark: SparkSession, st: Setup, pre: LoCEC.Precomputed,
               sizes: ModelSizes = ModelSizes(),
               algorithms: Seq[String] = Seq("ProbWP", "Economix", "XGBoost",
-                                            "LoCEC-XGB", "LoCEC-CNN"),
-              precomputed: Option[LoCEC.Precomputed] = None)
+                                            "LoCEC-XGB", "LoCEC-CNN"))
       : Seq[(String, Seq[Metrics.Score])] = {
     val targets = st.testEdges.select("src", "dst")
-    var pre: Option[LoCEC.Precomputed] = precomputed
 
-    def runLoCEC(variant: LoCEC.Variant): DataFrame = {
-      val res = LoCEC.run(spark, st.edges, st.interactions, st.userFeatures,
-        st.trainEdges,
+    def runLoCEC(variant: LoCEC.Variant): DataFrame =
+      LoCEC.label(spark, pre, st.trainEdges, targets,
         LoCEC.Params(variant = variant, gbdt = sizes.gbdt, cnn = sizes.cnn,
-          lr = sizes.lr, maxTrainCommunities = sizes.maxTrainCommunities),
-        predictEdges = Some(targets), precomputed = pre)
-      pre = Some(LoCEC.Precomputed(res.assigns, res.commFeats))
-      res.edgePreds
-    }
+          lr = sizes.lr, maxTrainCommunities = sizes.maxTrainCommunities)).edgePreds
 
     algorithms.map { algo =>
       val preds = algo match {
@@ -128,32 +122,18 @@ object Experiments {
 
   // ------------------------------------------------------------------ V --
   /** Table V: local community classification P/R/F1 for LoCEC-XGB and
-    * LoCEC-CNN. Communities are labeled by the majority type of their
-    * labeled ego–member edges (all survey labels, as in Sec. V-C) and
-    * split 80/20. */
-  def tableV(spark: SparkSession, st: Setup,
-             sizes: ModelSizes = ModelSizes(), seed: Long = 42,
-             precomputed: Option[LoCEC.Precomputed] = None)
+    * LoCEC-CNN on the communities of `pre`, the `LoCEC.divide` output of
+    * `st`. Communities are labeled by the majority type of their labeled
+    * ego–member edges (all survey labels, as in Sec. V-C) and split 80/20. */
+  def tableV(spark: SparkSession, st: Setup, pre: LoCEC.Precomputed,
+             sizes: ModelSizes = ModelSizes(), seed: Long = 42)
       : Seq[(String, Seq[Metrics.Score])] = {
     import spark.implicits._
-    val commFeats = precomputed.map(_.commFeats).getOrElse {
-      val p = LoCEC.Params()
-      val inner = EgoNetworks.egoInnerEdges(spark, st.edges).cache()
-      val assigns = LocalCommunities.detect(spark, st.edges, p.gnPatienceFrac).cache()
-      CommunityFeatures.compute(spark, assigns, inner, st.interactions,
-        st.userFeatures, k = p.k, interDims = p.interDims, featDims = p.featDims).cache()
-    }
-
     val labeledAll = st.edges
       .where($"labeled" && $"label".isin(RelationType.Major: _*))
       .select("src", "dst", "label")
-    val labels = CommunityFeatures.labels(spark, commFeats, labeledAll).as[LabeledComm]
-    val samples = commFeats
-      .joinWith(labels, commFeats("ego") === labels("ego") && commFeats("comm") === labels("comm"))
-      .orderBy(col("_1.ego"), col("_1.comm"))
-      .take(sizes.maxTrainCommunities * 2)
-      .map { case (cf, lc) => (cf, lc.label) }
-      .toSeq
+    val samples = CommunityFeatures.labeledSamples(spark, pre.commFeats, labeledAll,
+      sizes.maxTrainCommunities * 2)
     val (train, test) = samples.partition { case (cf, _) =>
       math.floorMod(scala.util.hashing.MurmurHash3.productHash((cf.ego, cf.comm, seed)), 10) < 8
     }

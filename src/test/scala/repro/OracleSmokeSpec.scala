@@ -1,39 +1,34 @@
 package repro
 
 import org.apache.spark.sql.functions._
+import repro.wechat.SocialGen
 
-/** Smoke tests for the provided DuckDB oracle + TPC-H-lite generators —
-  * proves the correctness harness itself is wired up. */
+/** Smoke tests for the DuckDB oracle on `SocialGen` frames — proves the
+  * correctness harness itself is wired up. */
 class OracleSmokeSpec extends SparkSpec {
+  import spark.implicits._
 
-  test("lineitem aggregate matches DuckDB") {
-    val li = SynthData.lineitem(spark, sf = 0.001).cache()
-    val agg = li.groupBy("l_returnflag")
-      .agg(count(lit(1)) as "cnt", round(sum("l_quantity"), 2) as "qty")
+  private lazy val net = SocialGen.generate(spark, SocialGen.Config(numUsers = 300, seed = 5))
+  private lazy val edges = net.edges.toDF().select("src", "dst", "label").cache()
+  private lazy val users = net.users.toDF().select($"user" as "uid", $"gender", $"age").cache()
+
+  test("edge label aggregate matches DuckDB") {
+    val agg = edges.groupBy("label")
+      .agg(count(lit(1)) as "cnt", sum($"dst" - $"src") as "span")
     Oracle.assertEquivalent(agg,
-      """SELECT l_returnflag, COUNT(*) AS cnt,
-        |       ROUND(SUM(CAST(l_quantity AS DOUBLE)), 2) AS qty
-        |FROM lineitem GROUP BY l_returnflag""".stripMargin,
-      "lineitem" -> li)
+      """SELECT label, COUNT(*) AS cnt,
+        |       CAST(SUM(CAST(dst AS BIGINT) - CAST(src AS BIGINT)) AS BIGINT) AS span
+        |FROM edges GROUP BY label""".stripMargin,
+      "edges" -> edges)
   }
 
-  test("orders-customer join matches DuckDB") {
-    val o = SynthData.orders(spark, sf = 0.001).cache()
-    val c = SynthData.customer(spark, sf = 0.001).cache()
-    val joined = o.join(c, o("o_custkey") === c("c_custkey"))
-      .groupBy("c_mktsegment").agg(count(lit(1)) as "cnt")
+  test("edges-users join matches DuckDB") {
+    val joined = edges.join(users, edges("src") === users("uid"))
+      .groupBy("gender").agg(count(lit(1)) as "cnt", sum("age") as "age_sum")
     Oracle.assertEquivalent(joined,
-      """SELECT c_mktsegment, COUNT(*) AS cnt
-        |FROM orders JOIN customer ON CAST(o_custkey AS BIGINT) = CAST(c_custkey AS BIGINT)
-        |GROUP BY c_mktsegment""".stripMargin,
-      "orders" -> o, "customer" -> c)
-  }
-
-  test("zipf keys are skewed toward small ranks") {
-    import spark.implicits._
-    val z = SynthData.zipfKeys(spark, rows = 20000, nKeys = 1000, seed = 3)
-    val top = z.groupBy("k").count().orderBy(desc("count")).limit(1)
-      .select("k").as[Long].head()
-    assert(top <= 3, s"most frequent zipf key was $top")
+      """SELECT gender, COUNT(*) AS cnt, CAST(SUM(CAST(age AS BIGINT)) AS BIGINT) AS age_sum
+        |FROM edges JOIN users ON CAST(src AS BIGINT) = CAST(uid AS BIGINT)
+        |GROUP BY gender""".stripMargin,
+      "edges" -> edges, "users" -> users)
   }
 }

@@ -117,6 +117,21 @@ class CommunityFeaturesSpec extends SparkSpec {
     }
   }
 
+  Seq(6, 8).foreach { width =>
+    test(s"compute rejects interaction vectors of width $width when interDims is 7") {
+      val interDf = Seq((2L, 3L, Seq.fill(width)(1.0))).toDF("src", "dst", "inter")
+      val e = intercept[Exception] {
+        LoCEC.divide(spark, fig7Edges, interDf, Map.empty[Long, Array[Double]], LoCEC.Params())
+      }
+      val cause = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
+        .collectFirst { case iae: IllegalArgumentException => iae }
+      assert(cause.isDefined, e)
+      val msg = cause.get.getMessage
+      assert(msg.contains("pair (2, 3)") && msg.contains(s"width $width") &&
+        msg.contains("interDims = 7"), msg)
+    }
+  }
+
   test("distributed compute emits every community of every ego") {
     val assigns = LocalCommunities.detect(spark, fig7Edges)
     val inner = EgoNetworks.egoInnerEdges(spark, fig7Edges)

@@ -1,0 +1,90 @@
+package repro.core
+
+import org.apache.spark.sql.functions.{array_repeat, lit}
+import repro.SparkSpec
+import repro.exp.Experiments
+
+/** `LoCEC.divide` (Phase I + Phase II features) on degenerate inputs, and
+  * its independence from the shuffle-partition count. */
+class LoCECDivideSpec extends SparkSpec {
+  import spark.implicits._
+
+  private val p = LoCEC.Params()
+
+  private lazy val st = {
+    val s = Experiments.setup(spark, numUsers = 300, seed = 7)
+    s.edges.count(); s.interactions.count()
+    s
+  }
+
+  private def noInteractions =
+    Seq.empty[(Long, Long, Seq[Double])].toDF("src", "dst", "inter")
+
+  test("an empty trainEdges set fails with a clear error") {
+    val edges = Seq((1L, 2L), (1L, 3L), (2L, 3L)).toDF("src", "dst")
+    val e = intercept[IllegalArgumentException] {
+      LoCEC.run(spark, edges, noInteractions, Map.empty[Long, Array[Double]],
+        Seq.empty[(Long, Long, String)].toDF("src", "dst", "label"))
+    }
+    assert(e.getMessage.contains("no labeled communities"), e.getMessage)
+  }
+
+  test("an ego with one friend gets a singleton community and a one-row matrix") {
+    // ego 1's only friend is 2
+    val edges = Seq((1L, 2L), (2L, 3L), (2L, 4L), (3L, 4L)).toDF("src", "dst")
+    val userF: Map[Long, Array[Double]] = (1L to 4L).map(u => u -> Array(u.toDouble, 0.5)).toMap
+    val pre = LoCEC.divide(spark, edges, noInteractions, userF, p)
+
+    val assigns = pre.assigns.where($"ego" === 1L).collect()
+    assert(assigns.length == 1)
+    val a = assigns.head
+    assert(a.friend == 2L && a.commSize == 1 && a.tightness == 1.0)
+
+    val feats = pre.commFeats.where($"ego" === 1L).collect()
+    assert(feats.length == 1)
+    val cf = feats.head
+    assert(cf.size == 1 && cf.members.toSeq == Seq(2L) && cf.tightness.toSeq == Seq(1.0))
+    assert(cf.flat.take(cf.cols).toSeq == Seq.fill(p.interDims)(0.0) ++ Seq(2.0, 0.5))
+    assert(cf.flat.drop(cf.cols).forall(_ == 0.0))
+  }
+
+  test("all-zero interactions give all-zero interaction columns, never NaN") {
+    val zeros = st.edges.select($"src", $"dst", array_repeat(lit(0.0), p.interDims) as "inter")
+    val feats = LoCEC.divide(spark, st.edges, zeros, st.userFeatures, p).commFeats.collect()
+    assert(feats.exists(_.size > 1))
+    feats.foreach { cf =>
+      assert(!cf.flat.exists(_.isNaN), (cf.ego, cf.comm))
+      for (r <- 0 until cf.rows; j <- 0 until p.interDims)
+        assert(cf.flat(r * cf.cols + j) == 0.0, (cf.ego, cf.comm, r, j))
+    }
+  }
+
+  test("divide is identical under 1 and 8 shuffle partitions") {
+    val key = "spark.sql.shuffle.partitions"
+    val saved = spark.conf.get(key)
+    def divideWith(partitions: Int): (Seq[EgoAssign], Seq[CommFeat]) = {
+      spark.conf.set(key, partitions.toString)
+      val pre = LoCEC.divide(spark, st.edges, st.interactions, st.userFeatures, p)
+      val out = (pre.assigns.collect().sortBy(a => (a.ego, a.friend)).toSeq,
+                 pre.commFeats.collect().sortBy(c => (c.ego, c.comm)).toSeq)
+      // so the second run cannot read the first run's cached plans
+      pre.assigns.unpersist(blocking = true)
+      pre.commFeats.unpersist(blocking = true)
+      out
+    }
+    def bits(xs: Array[Double]): Seq[Long] = xs.toSeq.map(java.lang.Double.doubleToRawLongBits)
+    try {
+      val (a1, c1) = divideWith(1)
+      val (a8, c8) = divideWith(8)
+      assert(a1.nonEmpty && a1 == a8)
+      assert(c1.length == c8.length)
+      c1.zip(c8).foreach { case (x, y) =>
+        val id = (x.ego, x.comm)
+        assert((x.ego, x.comm, x.size, x.rows, x.cols) == (y.ego, y.comm, y.size, y.rows, y.cols), id)
+        assert(x.members.toSeq == y.members.toSeq, id)
+        assert(bits(x.tightness) == bits(y.tightness), id)
+        assert(bits(x.flat) == bits(y.flat), id)
+      }
+    } finally spark.conf.set(key, saved)
+  }
+}

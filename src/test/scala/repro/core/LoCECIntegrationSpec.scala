@@ -18,18 +18,18 @@ class LoCECIntegrationSpec extends SparkSpec {
     lr = LogisticRegression.Params(epochs = 200),
     maxTrainCommunities = 2000)
 
-  private lazy val resultXgb = LoCEC.run(spark, st.edges, st.interactions,
-    st.userFeatures, st.trainEdges,
-    LoCEC.Params(variant = LoCEC.Xgb, gbdt = smallSizes.gbdt, lr = smallSizes.lr,
-      maxTrainCommunities = smallSizes.maxTrainCommunities),
-    predictEdges = Some(st.testEdges.select("src", "dst")))
+  private lazy val pre = LoCEC.divide(spark, st.edges, st.interactions, st.userFeatures,
+    LoCEC.Params())
 
-  private lazy val resultCnn = LoCEC.run(spark, st.edges, st.interactions,
-    st.userFeatures, st.trainEdges,
+  private lazy val resultXgb = LoCEC.label(spark, pre, st.trainEdges,
+    st.testEdges.select("src", "dst"),
+    LoCEC.Params(variant = LoCEC.Xgb, gbdt = smallSizes.gbdt, lr = smallSizes.lr,
+      maxTrainCommunities = smallSizes.maxTrainCommunities))
+
+  private lazy val resultCnn = LoCEC.label(spark, pre, st.trainEdges,
+    st.testEdges.select("src", "dst"),
     LoCEC.Params(variant = LoCEC.Cnn, cnn = smallSizes.cnn, lr = smallSizes.lr,
-      maxTrainCommunities = smallSizes.maxTrainCommunities),
-    predictEdges = Some(st.testEdges.select("src", "dst")),
-    precomputed = Some(LoCEC.Precomputed(resultXgb.assigns, resultXgb.commFeats)))
+      maxTrainCommunities = smallSizes.maxTrainCommunities))
 
   test("setup yields a nontrivial train/test split") {
     assert(st.trainEdges.count() > 100)
@@ -76,10 +76,10 @@ class LoCECIntegrationSpec extends SparkSpec {
     assert(t.totalSec >= t.phase1Sec)
   }
 
-  test("precomputed reuse skips phase I work") {
-    // resultCnn reused resultXgb's division/aggregation outputs
-    assert(resultCnn.timings.phase1Sec < resultXgb.timings.phase1Sec)
+  test("XGB and CNN results labelled from one divide share its assigns") {
+    assert(resultXgb.assigns eq pre.assigns)
     assert(resultCnn.assigns eq resultXgb.assigns)
+    assert(resultCnn.commFeats eq resultXgb.commFeats)
   }
 
   test("predicted labels come from the major-type label set") {
