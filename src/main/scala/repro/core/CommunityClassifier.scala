@@ -8,13 +8,12 @@ import repro.ml.{CommCNN, GBDT}
 final case class CommPred(ego: Long, comm: Int, probs: Array[Double], pred: String)
 
 /** A trained community classification model — either the XGBoost-style
-  * mean/std pooling variant (LoCEC-XGB) or CommCNN (LoCEC-CNN). */
+  * mean/std pooling variant (LoCEC-XGB) or CommCNN (LoCEC-CNN). Both are
+  * immutable after training, so one instance may serve any number of
+  * threads. */
 sealed trait CommModel extends Serializable {
   def classes: Array[String]
   def predictProba(cf: CommFeat): Array[Double]
-  /** A copy safe to use from one Spark task thread (CNN layers cache
-    * forward state; GBDT/LR are immutable). */
-  def threadSafeCopy: CommModel
 }
 
 /** LoCEC-XGB: mean and standard deviation of each feature dimension over
@@ -23,14 +22,12 @@ final class XgbCommModel(val model: GBDT.Model) extends CommModel {
   def classes: Array[String] = model.classes
   def predictProba(cf: CommFeat): Array[Double] =
     model.predictProba(CommunityClassifier.meanStdVector(cf))
-  def threadSafeCopy: CommModel = this
 }
 
 /** LoCEC-CNN: the full tightness-ordered feature matrix through CommCNN. */
 final class CnnCommModel(val model: CommCNN.Model) extends CommModel {
   def classes: Array[String] = model.classes
   def predictProba(cf: CommFeat): Array[Double] = model.predictProba(cf.matrix)
-  def threadSafeCopy: CommModel = new CnnCommModel(model.copyModel)
 }
 
 /** Training (driver-side — labeled communities are few, as in the paper)
@@ -85,16 +82,13 @@ object CommunityClassifier {
   }
 
   /** Distributed classification: the (small) model ships inside the task
-    * closure; each partition takes a thread-confined copy. */
+    * closure and is used as is; inference never writes to it. */
   def classify(spark: SparkSession, commFeats: Dataset[CommFeat],
                model: CommModel): Dataset[CommPred] = {
     import spark.implicits._
-    commFeats.mapPartitions { iter =>
-      val m = model.threadSafeCopy
-      iter.map { cf =>
-        val p = m.predictProba(cf)
-        CommPred(cf.ego, cf.comm, p, m.classes(p.indexOf(p.max)))
-      }
+    commFeats.map { cf =>
+      val p = model.predictProba(cf)
+      CommPred(cf.ego, cf.comm, p, model.classes(p.indexOf(p.max)))
     }
   }
 }

@@ -3,6 +3,7 @@ package repro.core
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 import org.apache.spark.storage.StorageLevel
 import repro.ml.{CommCNN, GBDT, LogisticRegression}
+import repro.wechat.RelationType
 
 /** End-to-end LoCEC (Algorithm 2): division → aggregation → combination,
   * with per-phase wall-clock timings for the Table VI reproduction. */
@@ -44,6 +45,13 @@ object LoCEC {
     val t0 = System.nanoTime()
     val r = body
     (r, (System.nanoTime() - t0) / 1e9)
+  }
+
+  /** Training labels must be the major types LoCEC classifies. */
+  private def requireMajor(what: String, labels: Seq[String]): Unit = {
+    val bad = labels.filterNot(RelationType.Major.contains)
+    require(bad.isEmpty, s"${bad.size} $what have labels outside RelationType.Major " +
+      s"(${RelationType.Major.mkString(", ")}): ${bad.distinct.sorted.mkString(", ")}")
   }
 
   /** Run the full pipeline: `label(divide(...))`.
@@ -92,9 +100,12 @@ object LoCEC {
 
   /** Training, Phase II classification and Phase III on a `divide` output.
     * Uses the model fields of `params` (`variant`, `gbdt`, `cnn`, `lr`,
-    * `maxTrainCommunities`).
+    * `maxTrainCommunities`). The Phase III training rows are sorted by
+    * (src, dst), so the LR fit does not depend on Spark's partitioning.
     *
-    * @param trainEdges (src, dst, label) observed labels; major types only
+    * @param trainEdges (src, dst, label) observed labels; a label outside
+    *                   `RelationType.Major` fails with
+    *                   `IllegalArgumentException`
     * @param target     (src, dst) edges to label
     */
   def label(spark: SparkSession, pre: Precomputed, trainEdges: DataFrame,
@@ -107,6 +118,7 @@ object LoCEC {
       val samples = CommunityFeatures.labeledSamples(spark, commFeats, trainEdges,
         params.maxTrainCommunities)
       require(samples.nonEmpty, "no labeled communities — check trainEdges")
+      requireMajor("labeled communities", samples.map(_._2))
       params.variant match {
         case Xgb => CommunityClassifier.trainXgb(samples, params.gbdt)
         case Cnn => CommunityClassifier.trainCnn(samples, params.cnn)
@@ -128,12 +140,14 @@ object LoCEC {
         assigns, commPreds).persist(StorageLevel.MEMORY_AND_DISK)
       val trainFeats = allFeats
         .join(trainEdges.select("src", "dst", "label"), Seq("src", "dst"))
-        .select("feats", "label")
-        .as[(Seq[Double], String)]
+        .select("src", "dst", "feats", "label")
+        .as[(Long, Long, Seq[Double], String)]
         .collect()
-        .map { case (f, l) => (f.toArray, l) }
+        .sortBy { case (src, dst, _, _) => (src, dst) }
+        .map { case (_, _, f, l) => (f.toArray, l) }
         .toSeq
       require(trainFeats.nonEmpty, "no labeled edges with Phase II features")
+      requireMajor("labeled edges", trainFeats.map(_._2))
       val lrModel = EdgeLabeler.train(trainFeats, params.lr)
       val preds = EdgeLabeler.predict(spark,
         allFeats.join(target.select("src", "dst"), Seq("src", "dst")), lrModel)

@@ -29,12 +29,13 @@ object CommCNN {
     def sameShape: Tensor3 = new Tensor3(c, h, w)
   }
 
-  /** A differentiable layer over Tensor3s. Forward caches what backward
-    * needs; instances are therefore NOT thread-safe — Spark inference must
-    * deep-copy the model per partition (see [[Model.copyModel]]). */
+  /** A differentiable layer over Tensor3s. `forward` is pure; `backward` is
+    * handed the input `x` of the matching forward and accumulates parameter
+    * gradients, so only training mutates a layer. */
   sealed trait Layer extends Serializable {
     def forward(x: Tensor3): Tensor3
-    def backward(gradOut: Tensor3): Tensor3
+    /** Gradient w.r.t. `x`, given the gradient w.r.t. `forward(x)`. */
+    def backward(x: Tensor3, gradOut: Tensor3): Tensor3
     def params: Seq[Array[Double]] = Nil
     def grads: Seq[Array[Double]] = Nil
     def outShape(c: Int, h: Int, w: Int): (Int, Int, Int)
@@ -51,8 +52,6 @@ object CommCNN {
     val bGrad: Array[Double] = new Array[Double](outC)
     @inline private def wIdx(o: Int, i: Int, a: Int, b: Int): Int = ((o * inC + i) * kh + a) * kw + b
 
-    private var lastIn: Tensor3 = _
-
     override def params: Seq[Array[Double]] = Seq(weight, bias)
     override def grads: Seq[Array[Double]] = Seq(wGrad, bGrad)
     override def outShape(c: Int, h: Int, w: Int): (Int, Int, Int) = (outC, h - kh + 1, w - kw + 1)
@@ -60,7 +59,6 @@ object CommCNN {
     def forward(x: Tensor3): Tensor3 = {
       require(x.c == inC && x.h >= kh && x.w >= kw,
         s"conv input ${x.c}x${x.h}x${x.w} vs kernel ${inC}x${kh}x$kw")
-      lastIn = x
       val out = new Tensor3(outC, x.h - kh + 1, x.w - kw + 1)
       var o = 0
       while (o < outC) {
@@ -92,8 +90,7 @@ object CommCNN {
       out
     }
 
-    def backward(gradOut: Tensor3): Tensor3 = {
-      val x = lastIn
+    def backward(x: Tensor3, gradOut: Tensor3): Tensor3 = {
       val gradIn = x.sameShape
       var o = 0
       while (o < outC) {
@@ -131,105 +128,100 @@ object CommCNN {
 
   /** Elementwise ReLU. */
   final class ReLU extends Layer {
-    private var mask: Array[Boolean] = _
     override def outShape(c: Int, h: Int, w: Int): (Int, Int, Int) = (c, h, w)
     def forward(x: Tensor3): Tensor3 = {
       val out = x.sameShape
-      mask = new Array[Boolean](x.size)
       var i = 0
-      while (i < x.size) {
-        if (x.data(i) > 0) { out.data(i) = x.data(i); mask(i) = true }
-        i += 1
-      }
+      while (i < x.size) { if (x.data(i) > 0) out.data(i) = x.data(i); i += 1 }
       out
     }
-    def backward(gradOut: Tensor3): Tensor3 = {
+    def backward(x: Tensor3, gradOut: Tensor3): Tensor3 = {
       val gradIn = gradOut.sameShape
       var i = 0
-      while (i < gradOut.size) { if (mask(i)) gradIn.data(i) = gradOut.data(i); i += 1 }
+      while (i < gradOut.size) { if (x.data(i) > 0) gradIn.data(i) = gradOut.data(i); i += 1 }
       gradIn
     }
   }
 
+  /** Flat index into `x` of the first maximum of channel `c` over rows
+    * [h0, h1) and columns [w0, w1): a strict-greater scan from −∞, so ties go
+    * to the first element in row-major order; −1 if no element exceeds −∞.
+    * Pooling forward and backward both use it, so they pick the same
+    * element. */
+  private def windowArgmax(x: Tensor3, c: Int, h0: Int, h1: Int, w0: Int, w1: Int): Int = {
+    var best = Double.NegativeInfinity
+    var bestIdx = -1
+    var h = h0
+    while (h < h1) {
+      var w = w0
+      while (w < w1) {
+        val v = x(c, h, w)
+        if (v > best) { best = v; bestIdx = x.idx(c, h, w) }
+        w += 1
+      }
+      h += 1
+    }
+    bestIdx
+  }
+
+  @inline private def valueAt(x: Tensor3, i: Int): Double =
+    if (i < 0) Double.NegativeInfinity else x.data(i)
+
   /** Max pooling with kernel = stride = (ph, pw); trailing rows/cols that do
     * not fill a full window are dropped (floor semantics). */
   final class MaxPool(ph: Int, pw: Int) extends Layer {
-    private var argmax: Array[Int] = _
-    private var inShape: (Int, Int, Int) = _
     override def outShape(c: Int, h: Int, w: Int): (Int, Int, Int) = (c, h / ph, w / pw)
+    private def argmax(x: Tensor3, c: Int, oh: Int, ow: Int): Int =
+      windowArgmax(x, c, oh * ph, (oh + 1) * ph, ow * pw, (ow + 1) * pw)
     def forward(x: Tensor3): Tensor3 = {
-      inShape = (x.c, x.h, x.w)
       val out = new Tensor3(x.c, x.h / ph, x.w / pw)
-      argmax = new Array[Int](out.size)
       var c = 0
       while (c < out.c) {
         var oh = 0
         while (oh < out.h) {
           var ow = 0
-          while (ow < out.w) {
-            var best = Double.NegativeInfinity
-            var bestIdx = -1
-            var a = 0
-            while (a < ph) {
-              var b = 0
-              while (b < pw) {
-                val v = x(c, oh * ph + a, ow * pw + b)
-                if (v > best) { best = v; bestIdx = x.idx(c, oh * ph + a, ow * pw + b) }
-                b += 1
-              }
-              a += 1
-            }
-            out(c, oh, ow) = best
-            argmax(out.idx(c, oh, ow)) = bestIdx
-            ow += 1
-          }
+          while (ow < out.w) { out(c, oh, ow) = valueAt(x, argmax(x, c, oh, ow)); ow += 1 }
           oh += 1
         }
         c += 1
       }
       out
     }
-    def backward(gradOut: Tensor3): Tensor3 = {
-      val gradIn = new Tensor3(inShape._1, inShape._2, inShape._3)
-      var i = 0
-      while (i < gradOut.size) { gradIn.data(argmax(i)) += gradOut.data(i); i += 1 }
+    def backward(x: Tensor3, gradOut: Tensor3): Tensor3 = {
+      val gradIn = x.sameShape
+      var c = 0
+      while (c < gradOut.c) {
+        var oh = 0
+        while (oh < gradOut.h) {
+          var ow = 0
+          while (ow < gradOut.w) {
+            gradIn.data(argmax(x, c, oh, ow)) += gradOut(c, oh, ow)
+            ow += 1
+          }
+          oh += 1
+        }
+        c += 1
+      }
       gradIn
     }
   }
 
   /** Global max pooling: (c, h, w) → (c, 1, 1). */
   final class GlobalMaxPool extends Layer {
-    private var argmax: Array[Int] = _
-    private var inShape: (Int, Int, Int) = _
     override def outShape(c: Int, h: Int, w: Int): (Int, Int, Int) = (c, 1, 1)
     def forward(x: Tensor3): Tensor3 = {
-      inShape = (x.c, x.h, x.w)
       val out = new Tensor3(x.c, 1, 1)
-      argmax = new Array[Int](x.c)
       var c = 0
-      while (c < x.c) {
-        var best = Double.NegativeInfinity
-        var bestIdx = -1
-        var h = 0
-        while (h < x.h) {
-          var w = 0
-          while (w < x.w) {
-            val v = x(c, h, w)
-            if (v > best) { best = v; bestIdx = x.idx(c, h, w) }
-            w += 1
-          }
-          h += 1
-        }
-        out(c, 0, 0) = best
-        argmax(c) = bestIdx
-        c += 1
-      }
+      while (c < x.c) { out(c, 0, 0) = valueAt(x, windowArgmax(x, c, 0, x.h, 0, x.w)); c += 1 }
       out
     }
-    def backward(gradOut: Tensor3): Tensor3 = {
-      val gradIn = new Tensor3(inShape._1, inShape._2, inShape._3)
+    def backward(x: Tensor3, gradOut: Tensor3): Tensor3 = {
+      val gradIn = x.sameShape
       var c = 0
-      while (c < gradOut.c) { gradIn.data(argmax(c)) += gradOut(c, 0, 0); c += 1 }
+      while (c < gradOut.c) {
+        gradIn.data(windowArgmax(x, c, 0, x.h, 0, x.w)) += gradOut(c, 0, 0)
+        c += 1
+      }
       gradIn
     }
   }
@@ -240,11 +232,9 @@ object CommCNN {
     val bias: Array[Double] = new Array[Double](out)
     val wGrad: Array[Double] = new Array[Double](weight.length)
     val bGrad: Array[Double] = new Array[Double](out)
-    private var lastIn: Array[Double] = _
 
     def forward(x: Array[Double]): Array[Double] = {
       require(x.length == in, s"dense input ${x.length} vs $in")
-      lastIn = x
       val y = new Array[Double](out)
       var o = 0
       while (o < out) {
@@ -257,7 +247,8 @@ object CommCNN {
       y
     }
 
-    def backward(gradOut: Array[Double]): Array[Double] = {
+    /** Gradient w.r.t. `x`, the input of the matching forward. */
+    def backward(x: Array[Double], gradOut: Array[Double]): Array[Double] = {
       val gradIn = new Array[Double](in)
       var o = 0
       while (o < out) {
@@ -265,7 +256,7 @@ object CommCNN {
         bGrad(o) += g
         var i = 0
         while (i < in) {
-          wGrad(o * in + i) += g * lastIn(i)
+          wGrad(o * in + i) += g * x(i)
           gradIn(i) += g * weight(o * in + i)
           i += 1
         }
@@ -283,16 +274,14 @@ object CommCNN {
       layers.foreach { l => val s = l.outShape(c, h, w); c = s._1; h = s._2; w = s._3 }
       c * h * w
     }
-    private var outShape3: (Int, Int, Int) = _
-    def forward(x: Tensor3): Array[Double] = {
-      var t = x
-      layers.foreach { l => t = l.forward(t) }
-      outShape3 = (t.c, t.h, t.w)
-      t.data
-    }
-    def backward(grad: Array[Double]): Tensor3 = {
-      var g = new Tensor3(outShape3._1, outShape3._2, outShape3._3, grad.clone())
-      layers.reverseIterator.foreach { l => g = l.backward(g) }
+    /** `x` followed by every layer's output; the last one is the path output. */
+    def activations(x: Tensor3): Array[Tensor3] = layers.scanLeft(x)((t, l) => l.forward(t)).toArray
+    /** Backward through the path, given `activations(x)` and the gradient
+      * w.r.t. the flattened path output. */
+    def backward(acts: Array[Tensor3], grad: Array[Double]): Tensor3 = {
+      val out = acts.last
+      var g = new Tensor3(out.c, out.h, out.w, grad)
+      layers.zip(acts).reverseIterator.foreach { case (l, in) => g = l.backward(in, g) }
       g
     }
   }
@@ -302,7 +291,10 @@ object CommCNN {
                           learningRate: Double = 1e-3, epochs: Int = 40,
                           batchSize: Int = 32, seed: Long = 17)
 
-  /** The assembled network. Single-threaded; see [[Model.copyModel]]. */
+  /** The assembled network. Inference (`forwardLogits`) only reads the
+    * weights, so any number of threads may share one network; training
+    * (`lossAndBackward`, `zeroGrads`) writes the gradient arrays and is
+    * single-threaded. */
   final class Network(val cfg: Config) extends Serializable {
     require(cfg.k >= 5 && cfg.d >= 5, s"CommCNN needs k>=5 and d>=5, got k=${cfg.k} d=${cfg.d}")
     private val rng = new Random(cfg.seed)
@@ -350,7 +342,6 @@ object CommCNN {
     val concatLen: Int = wide.outLen + long.outLen + square.outLen
     val fc1 = new Dense(concatLen, cfg.hidden, rng)
     val fc2 = new Dense(cfg.hidden, cfg.numClasses, rng)
-    private var fc1Mask: Array[Boolean] = _
 
     def paramArrays: Seq[Array[Double]] =
       (wide.layers ++ long.layers ++ square.layers).flatMap(_.params) ++
@@ -361,12 +352,22 @@ object CommCNN {
 
     def zeroGrads(): Unit = gradArrays.foreach(g => java.util.Arrays.fill(g, 0.0))
 
-    def forwardLogits(x: Tensor3): Array[Double] = {
-      val cat = wide.forward(x) ++ long.forward(x) ++ square.forward(x)
+    /** Activations of one forward pass: each path's `activations`, the
+      * concatenated path outputs, fc1's pre-ReLU output and the logits. */
+    private final class Pass(val wide: Array[Tensor3], val long: Array[Tensor3],
+                             val square: Array[Tensor3], val cat: Array[Double],
+                             val h1: Array[Double], val logits: Array[Double])
+
+    private def pass(x: Tensor3): Pass = {
+      val (w, l, s) = (wide.activations(x), long.activations(x), square.activations(x))
+      val cat = w.last.data ++ l.last.data ++ s.last.data
       val h1 = fc1.forward(cat)
-      fc1Mask = h1.map(_ > 0)
-      fc2.forward(h1.map(v => math.max(v, 0.0)))
+      new Pass(w, l, s, cat, h1, fc2.forward(relu(h1)))
     }
+
+    private def relu(h: Array[Double]): Array[Double] = h.map(v => math.max(v, 0.0))
+
+    def forwardLogits(x: Tensor3): Array[Double] = pass(x).logits
 
     def softmax(z: Array[Double]): Array[Double] = {
       val mx = z.max
@@ -377,18 +378,18 @@ object CommCNN {
 
     /** Cross-entropy loss for one sample; accumulates parameter gradients. */
     def lossAndBackward(x: Tensor3, label: Int): Double = {
-      val logits = forwardLogits(x)
-      val p = softmax(logits)
+      val fw = pass(x)
+      val p = softmax(fw.logits)
       val loss = -math.log(math.max(p(label), 1e-12))
       val gradLogits = p.clone()
       gradLogits(label) -= 1.0
-      val gH1 = fc2.backward(gradLogits)
+      val gH1 = fc2.backward(relu(fw.h1), gradLogits)
       var i = 0
-      while (i < gH1.length) { if (!fc1Mask(i)) gH1(i) = 0.0; i += 1 }
-      val gCat = fc1.backward(gH1)
-      wide.backward(gCat.slice(0, wide.outLen))
-      long.backward(gCat.slice(wide.outLen, wide.outLen + long.outLen))
-      square.backward(gCat.slice(wide.outLen + long.outLen, concatLen))
+      while (i < gH1.length) { if (!(fw.h1(i) > 0)) gH1(i) = 0.0; i += 1 }
+      val gCat = fc1.backward(fw.cat, gH1)
+      wide.backward(fw.wide, gCat.slice(0, wide.outLen))
+      long.backward(fw.long, gCat.slice(wide.outLen, wide.outLen + long.outLen))
+      square.backward(fw.square, gCat.slice(wide.outLen + long.outLen, concatLen))
       loss
     }
   }
@@ -461,18 +462,6 @@ object CommCNN {
     new Model(net, classes)
   }
 
-  /** Mean training loss — used by tests to verify learning. */
-  def meanLoss(model: Model, mats: Array[Array[Array[Double]]], labels: Array[Int]): Double = {
-    var s = 0.0
-    var i = 0
-    while (i < mats.length) {
-      val p = model.predictProba(mats(i))
-      s += -math.log(math.max(p(labels(i)), 1e-12))
-      i += 1
-    }
-    s / mats.length
-  }
-
   private def shuffleInPlace(a: Array[Int], rng: Random): Unit = {
     var i = a.length - 1
     while (i > 0) {
@@ -482,25 +471,11 @@ object CommCNN {
     }
   }
 
-  /** Trained CommCNN. `predictProba` is synchronized because layer forward
-    * passes cache state; for parallel Spark inference use [[copyModel]] once
-    * per partition. */
+  /** Trained CommCNN. `predictProba` is a pure function of the weights, so
+    * any number of threads may share one instance without locking or
+    * copying it. */
   final class Model(val net: Network, val classes: Array[String]) extends Serializable {
-    def predictProba(mat: Array[Array[Double]]): Array[Double] = this.synchronized {
+    def predictProba(mat: Array[Array[Double]]): Array[Double] =
       net.softmax(net.forwardLogits(toTensor(mat)))
-    }
-    def predictLabel(mat: Array[Array[Double]]): String = {
-      val p = predictProba(mat)
-      classes(p.indexOf(p.max))
-    }
-    /** Deep copy via serialization — gives each Spark partition its own
-      * thread-confined network. */
-    def copyModel: Model = {
-      val bos = new java.io.ByteArrayOutputStream()
-      val oos = new java.io.ObjectOutputStream(bos)
-      oos.writeObject(this); oos.close()
-      val ois = new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bos.toByteArray))
-      ois.readObject().asInstanceOf[Model]
-    }
   }
 }

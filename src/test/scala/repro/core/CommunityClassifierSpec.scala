@@ -87,22 +87,6 @@ class CommunityClassifierSpec extends SparkSpec {
     assert(math.abs(cnn.predictProba(tr.head._1).sum - 1.0) < 1e-9)
   }
 
-  test("threadSafeCopy of the CNN model predicts identically") {
-    val tr = samples(30, 3)
-    val cnn = CommunityClassifier.trainCnn(tr,
-      CommCNN.Config(filters = 2, hidden = 4, epochs = 3, seed = 7))
-    val copy = cnn.threadSafeCopy
-    assert(copy ne cnn)
-    tr.take(5).foreach { case (cf, _) =>
-      assert(copy.predictProba(cf).toSeq == cnn.predictProba(cf).toSeq)
-    }
-  }
-
-  test("threadSafeCopy of the XGB model is the same immutable instance") {
-    val m = CommunityClassifier.trainXgb(samples(30, 4))
-    assert(m.threadSafeCopy eq m)
-  }
-
   test("classify runs distributed and preserves keys") {
     import spark.implicits._
     val tr = samples(30, 5)

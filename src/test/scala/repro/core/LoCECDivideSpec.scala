@@ -1,21 +1,32 @@
 package repro.core
 
-import org.apache.spark.sql.functions.{array_repeat, lit}
+import org.apache.spark.sql.functions.{array_repeat, lit, when}
 import repro.SparkSpec
 import repro.exp.Experiments
+import repro.ml.{CommCNN, GBDT, LogisticRegression}
+import repro.wechat.RelationType
 
-/** `LoCEC.divide` (Phase I + Phase II features) on degenerate inputs, and
-  * its independence from the shuffle-partition count. */
+/** `LoCEC.divide` (Phase I + Phase II features) and `LoCEC.label` on
+  * degenerate inputs and training-label contracts, and their independence
+  * from the shuffle-partition count. */
 class LoCECDivideSpec extends SparkSpec {
   import spark.implicits._
 
   private val p = LoCEC.Params()
+
+  private val small = LoCEC.Params(gbdt = GBDT.Params(numRounds = 5),
+    cnn = CommCNN.Config(filters = 2, hidden = 8, epochs = 2),
+    lr = LogisticRegression.Params(epochs = 100))
+
+  private def bits(xs: Array[Double]): Seq[Long] = xs.toSeq.map(java.lang.Double.doubleToRawLongBits)
 
   private lazy val st = {
     val s = Experiments.setup(spark, numUsers = 300, seed = 7)
     s.edges.count(); s.interactions.count()
     s
   }
+
+  private lazy val pre = LoCEC.divide(spark, st.edges, st.interactions, st.userFeatures, p)
 
   private def noInteractions =
     Seq.empty[(Long, Long, Seq[Double])].toDF("src", "dst", "inter")
@@ -72,7 +83,6 @@ class LoCECDivideSpec extends SparkSpec {
       pre.commFeats.unpersist(blocking = true)
       out
     }
-    def bits(xs: Array[Double]): Seq[Long] = xs.toSeq.map(java.lang.Double.doubleToRawLongBits)
     try {
       val (a1, c1) = divideWith(1)
       val (a8, c8) = divideWith(8)
@@ -86,5 +96,52 @@ class LoCECDivideSpec extends SparkSpec {
         assert(bits(x.flat) == bits(y.flat), id)
       }
     } finally spark.conf.set(key, saved)
+  }
+
+  test("label with Cnn is identical under 1 and 8 shuffle partitions") {
+    val key = "spark.sql.shuffle.partitions"
+    val saved = spark.conf.get(key)
+    def labelWith(partitions: Int): (Seq[((Long, Int), Seq[Long])], Seq[(Long, Long, String)]) = {
+      spark.conf.set(key, partitions.toString)
+      val r = LoCEC.label(spark, pre, st.trainEdges, st.edges.select("src", "dst"),
+        small.copy(variant = LoCEC.Cnn))
+      val out = (r.commPreds.collect().map(c => (c.ego, c.comm) -> bits(c.probs)).sortBy(_._1).toSeq,
+                 r.edgePreds.select("src", "dst", "pred").as[(Long, Long, String)].collect()
+                   .sortBy(e => (e._1, e._2)).toSeq)
+      // so the second run cannot read the first run's cached plans
+      r.commPreds.unpersist(blocking = true)
+      r.edgePreds.unpersist(blocking = true)
+      out
+    }
+    try {
+      val (c1, e1) = labelWith(1)
+      val (c8, e8) = labelWith(8)
+      assert(c1.nonEmpty && c1 == c8)
+      assert(e1.length == st.edges.count() && e1 == e8)
+    } finally spark.conf.set(key, saved)
+  }
+
+  test("training labels outside RelationType.Major fail with a clear error") {
+    val relabeled = st.trainEdges.withColumn("label",
+      when($"src" % 3 === 0, lit(RelationType.Other)).otherwise($"label"))
+    val e = intercept[IllegalArgumentException] {
+      LoCEC.label(spark, pre, relabeled, st.testEdges.select("src", "dst"),
+        small.copy(variant = LoCEC.Xgb))
+    }
+    assert(e.getMessage.matches(
+      "(?s).*\\d+ labeled (communities|edges) have labels outside RelationType.Major.*: other"),
+      e.getMessage)
+  }
+
+  test("single-class training labels give every target edge that class") {
+    val oneClass = st.trainEdges.withColumn("label", lit(RelationType.Family))
+    val target = st.testEdges.select("src", "dst")
+    Seq(LoCEC.Xgb, LoCEC.Cnn).foreach { v =>
+      val r = LoCEC.run(spark, st.edges, st.interactions, st.userFeatures, oneClass,
+        small.copy(variant = v), Some(target))
+      val preds = r.edgePreds.select("pred").as[String].collect()
+      assert(preds.length == target.count(), v)
+      assert(preds.forall(_ == RelationType.Family), (v, preds.distinct.toSeq))
+    }
   }
 }

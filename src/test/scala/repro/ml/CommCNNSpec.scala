@@ -35,6 +35,12 @@ class CommCNNSpec extends AnyFunSuite {
     (mats.result(), labels.result())
   }
 
+  private def meanLoss(model: Model, mats: Array[Array[Array[Double]]], labels: Array[Int]): Double =
+    mats.indices.map(i => -math.log(math.max(model.predictProba(mats(i))(labels(i)), 1e-12))).sum /
+      mats.length
+
+  private def bits(xs: Array[Double]): Seq[Long] = xs.toSeq.map(java.lang.Double.doubleToRawLongBits)
+
   test("toTensor round-trips values") {
     val m = randMat(4, 3, 0)
     val t = toTensor(m)
@@ -58,9 +64,11 @@ class CommCNNSpec extends AnyFunSuite {
   test("path outLen bookkeeping matches actual forward output") {
     val net = new Network(smallCfg)
     val x = toTensor(randMat(6, 5, 3))
-    assert(net.wide.forward(x).length == net.wide.outLen)
-    assert(net.long.forward(x).length == net.long.outLen)
-    assert(net.square.forward(x).length == net.square.outLen)
+    Seq(net.wide, net.long, net.square).foreach { path =>
+      val acts = path.activations(x)
+      assert(acts.length == path.layers.length + 1 && (acts.head eq x))
+      assert(acts.last.size == path.outLen)
+    }
   }
 
   test("default paper config (k=20, d=9) builds and runs") {
@@ -70,8 +78,19 @@ class CommCNNSpec extends AnyFunSuite {
   }
 
   test("numerical gradient check on all parameter arrays") {
-    val net = new Network(smallCfg)
-    val x = toTensor(randMat(6, 5, 6))
+    // k=20, d=9 gives the square path a real 2x2 max pool
+    Seq(smallCfg, smallCfg.copy(k = 20, d = 9)).foreach(gradientCheck)
+  }
+
+  private def gradientCheck(cfg: Config): Unit = {
+    val net = new Network(cfg)
+    // Biases start at exactly 0, so a unit whose inputs the previous ReLU
+    // zeroed sits on its own ReLU's kink, where central differences are not
+    // the gradient. Jittered biases put the check at a generic point.
+    val jitter = new Random(8)
+    (Seq(net.wide, net.long, net.square).flatMap(_.layers).collect { case c: Conv2D => c.bias } ++
+      Seq(net.fc1.bias, net.fc2.bias)).foreach(b => b.indices.foreach(i => b(i) = 0.1 * jitter.nextGaussian()))
+    val x = toTensor(randMat(cfg.k, cfg.d, 6))
     val label = 1
     def loss(): Double = {
       val p = net.softmax(net.forwardLogits(x))
@@ -96,7 +115,7 @@ class CommCNNSpec extends AnyFunSuite {
         val ana = analytic(ai)(i)
         val denom = math.max(1e-4, math.abs(num) + math.abs(ana))
         assert(math.abs(num - ana) / denom < 1e-3,
-          s"array $ai idx $i: numeric=$num analytic=$ana")
+          s"k=${cfg.k} d=${cfg.d} array $ai idx $i: numeric=$num analytic=$ana")
       }
     }
   }
@@ -106,7 +125,7 @@ class CommCNNSpec extends AnyFunSuite {
     val classes = Array("a", "b", "c")
     val m1 = CommCNN.train(mats, labels, classes, smallCfg.copy(epochs = 1))
     val m30 = CommCNN.train(mats, labels, classes, smallCfg.copy(epochs = 30))
-    assert(CommCNN.meanLoss(m30, mats, labels) < CommCNN.meanLoss(m1, mats, labels))
+    assert(meanLoss(m30, mats, labels) < meanLoss(m1, mats, labels))
   }
 
   test("overfits a small separable dataset") {
@@ -144,17 +163,27 @@ class CommCNNSpec extends AnyFunSuite {
     assert(out.length == 3 && out.forall(v => !v.isNaN))
   }
 
-  test("predictLabel returns a class name") {
-    val (mats, labels) = syntheticData(20, 6, 5, 13)
-    val m = CommCNN.train(mats, labels, Array("a", "b", "c"), smallCfg.copy(epochs = 5))
-    assert(Set("a", "b", "c").contains(m.predictLabel(mats(0))))
-  }
-
-  test("copyModel predicts identically to the original") {
-    val (mats, labels) = syntheticData(20, 6, 5, 14)
-    val m = CommCNN.train(mats, labels, Array("a", "b", "c"), smallCfg.copy(epochs = 5))
-    val c = m.copyModel
-    mats.take(5).foreach(mat => assert(c.predictProba(mat).toSeq == m.predictProba(mat).toSeq))
+  test("one trained model shared by 8 threads predicts bitwise as a sequential run") {
+    val (mats, labels) = syntheticData(60, 20, 9, 14)
+    val m = CommCNN.train(mats, labels, Array("a", "b", "c"),
+      smallCfg.copy(k = 20, d = 9, epochs = 2))
+    val sequential = mats.toSeq.map(mat => bits(m.predictProba(mat)))
+    val results = new Array[Seq[Seq[Long]]](8)
+    val start = new java.util.concurrent.CountDownLatch(1)
+    val threads = (0 until 8).map { t =>
+      new Thread(() => {
+        start.await()
+        // each thread starts at a different sample, so the threads overlap
+        val order = mats.indices.map(i => (i + t * 7) % mats.length)
+        val out = new Array[Seq[Long]](mats.length)
+        order.foreach(i => out(i) = bits(m.predictProba(mats(i))))
+        results(t) = out.toSeq
+      })
+    }
+    threads.foreach(_.start())
+    start.countDown()
+    threads.foreach(_.join())
+    results.zipWithIndex.foreach { case (r, t) => assert(r == sequential, s"thread $t") }
   }
 
   test("model survives java serialization") {
