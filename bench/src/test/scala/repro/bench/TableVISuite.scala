@@ -1,7 +1,8 @@
 package repro.bench
 
+import org.apache.spark.storage.StorageLevel
 import repro.SparkSpec
-import repro.core.LoCEC
+import repro.core.{CommunityFeatures, EgoNetworks, LoCEC, LocalCommunities}
 import repro.exp.Experiments
 
 /** Table VI — running time of LoCEC-CNN per phase, over the whole network.
@@ -20,13 +21,29 @@ import repro.exp.Experiments
   */
 class TableVISuite extends SparkSpec {
 
-  // Own setup with a distinct seed: the other suites persist Phase I/II
-  // Datasets, and Spark's CacheManager substitutes any matching plan with
-  // the cached data — which would zero out the very timings this table
-  // measures. A different seed makes every plan distinct.
-  private lazy val timings: LoCEC.Timings =
-    Experiments.tableVI(spark, Experiments.setup(spark, Bench.numUsers, seed = 99),
-      Bench.sizes)
+  // An explicitly uncached run. The other suites persist Phase I/II
+  // Datasets of the same network, and Spark's CacheManager substitutes any
+  // matching plan with the cached data, which would zero out the very
+  // timings this table measures. So the cache is dropped, the inputs are
+  // set up afresh, and the run starts only once no Phase I/II plan of those
+  // inputs is cached.
+  private lazy val timings: LoCEC.Timings = {
+    spark.catalog.clearCache()
+    assert(spark.sharedState.cacheManager.isEmpty, "cache not empty after clearCache")
+    val st = Experiments.setup(spark, Bench.numUsers)
+    val params = LoCEC.Params()
+    val inner = EgoNetworks.egoInnerEdges(spark, st.edges)
+    val assigns = LocalCommunities.detect(spark, st.edges, inner, params.gnPatienceFrac)
+    val phase12 = Seq(
+      "inner edges" -> inner,
+      "community assignments" -> assigns,
+      "community features" -> CommunityFeatures.compute(spark, assigns, inner, st.interactions,
+        st.userFeatures, params.k, params.interDims, params.featDims))
+    phase12.foreach { case (what, ds) =>
+      assert(ds.storageLevel == StorageLevel.NONE, s"$what are cached before the timed run")
+    }
+    Experiments.tableVI(spark, st, Bench.sizes)
+  }
 
   test("Table VI: print per-phase running time (paper hours vs our seconds)") {
     Bench.banner(s"TABLE VI — LoCEC-CNN running time (${Bench.numUsers} users, all edges labeled)")

@@ -1,5 +1,6 @@
 package repro.ml
 
+import java.util.stream.IntStream
 import scala.util.Random
 
 /** CommCNN — the paper's community classification CNN (Section IV-B, Fig. 8),
@@ -14,7 +15,10 @@ import scala.util.Random
   *   - long:   k×1 kernel (one feature across all members), then a 1×1
   *     conv and a global max pool — 3 layers.
   * The concatenated path outputs feed two fully connected layers and a
-  * softmax. Training is minibatch Adam on softmax cross-entropy.
+  * softmax. Training is minibatch Adam on softmax cross-entropy; each
+  * minibatch gradient is summed over a fixed number of shards in a fixed
+  * order (`ShardedGradient`), so the trained weights do not depend on the
+  * number of threads.
   */
 object CommCNN {
 
@@ -29,15 +33,16 @@ object CommCNN {
     def sameShape: Tensor3 = new Tensor3(c, h, w)
   }
 
-  /** A differentiable layer over Tensor3s. `forward` is pure; `backward` is
-    * handed the input `x` of the matching forward and accumulates parameter
-    * gradients, so only training mutates a layer. */
+  /** A differentiable layer over Tensor3s. A layer holds its weights and
+    * nothing else: `forward` is pure, and `backward` is handed the input `x`
+    * of the matching forward and adds the parameter gradients into a buffer
+    * it does not own. */
   sealed trait Layer extends Serializable {
     def forward(x: Tensor3): Tensor3
-    /** Gradient w.r.t. `x`, given the gradient w.r.t. `forward(x)`. */
-    def backward(x: Tensor3, gradOut: Tensor3): Tensor3
-    def params: Seq[Array[Double]] = Nil
-    def grads: Seq[Array[Double]] = Nil
+    /** Gradient w.r.t. `x`, given the gradient w.r.t. `forward(x)`. Adds the
+      * parameter gradients into `grads`, one array per entry of `params`. */
+    def backward(x: Tensor3, gradOut: Tensor3, grads: IndexedSeq[Array[Double]]): Tensor3
+    def params: IndexedSeq[Array[Double]] = IndexedSeq.empty
     def outShape(c: Int, h: Int, w: Int): (Int, Int, Int)
   }
 
@@ -48,12 +53,9 @@ object CommCNN {
       Array.fill(outC * inC * kh * kw)(rng.nextGaussian() * math.sqrt(2.0 / fanIn))
     }
     val bias: Array[Double] = new Array[Double](outC)
-    val wGrad: Array[Double] = new Array[Double](weight.length)
-    val bGrad: Array[Double] = new Array[Double](outC)
     @inline private def wIdx(o: Int, i: Int, a: Int, b: Int): Int = ((o * inC + i) * kh + a) * kw + b
 
-    override def params: Seq[Array[Double]] = Seq(weight, bias)
-    override def grads: Seq[Array[Double]] = Seq(wGrad, bGrad)
+    override def params: IndexedSeq[Array[Double]] = IndexedSeq(weight, bias)
     override def outShape(c: Int, h: Int, w: Int): (Int, Int, Int) = (outC, h - kh + 1, w - kw + 1)
 
     def forward(x: Tensor3): Tensor3 = {
@@ -90,7 +92,9 @@ object CommCNN {
       out
     }
 
-    def backward(x: Tensor3, gradOut: Tensor3): Tensor3 = {
+    def backward(x: Tensor3, gradOut: Tensor3, grads: IndexedSeq[Array[Double]]): Tensor3 = {
+      val wGrad = grads(0)
+      val bGrad = grads(1)
       val gradIn = x.sameShape
       var o = 0
       while (o < outC) {
@@ -135,7 +139,7 @@ object CommCNN {
       while (i < x.size) { if (x.data(i) > 0) out.data(i) = x.data(i); i += 1 }
       out
     }
-    def backward(x: Tensor3, gradOut: Tensor3): Tensor3 = {
+    def backward(x: Tensor3, gradOut: Tensor3, grads: IndexedSeq[Array[Double]]): Tensor3 = {
       val gradIn = gradOut.sameShape
       var i = 0
       while (i < gradOut.size) { if (x.data(i) > 0) gradIn.data(i) = gradOut.data(i); i += 1 }
@@ -187,7 +191,7 @@ object CommCNN {
       }
       out
     }
-    def backward(x: Tensor3, gradOut: Tensor3): Tensor3 = {
+    def backward(x: Tensor3, gradOut: Tensor3, grads: IndexedSeq[Array[Double]]): Tensor3 = {
       val gradIn = x.sameShape
       var c = 0
       while (c < gradOut.c) {
@@ -215,7 +219,7 @@ object CommCNN {
       while (c < x.c) { out(c, 0, 0) = valueAt(x, windowArgmax(x, c, 0, x.h, 0, x.w)); c += 1 }
       out
     }
-    def backward(x: Tensor3, gradOut: Tensor3): Tensor3 = {
+    def backward(x: Tensor3, gradOut: Tensor3, grads: IndexedSeq[Array[Double]]): Tensor3 = {
       val gradIn = x.sameShape
       var c = 0
       while (c < gradOut.c) {
@@ -230,8 +234,7 @@ object CommCNN {
   final class Dense(val in: Int, val out: Int, rng: Random) extends Serializable {
     val weight: Array[Double] = Array.fill(out * in)(rng.nextGaussian() * math.sqrt(2.0 / in))
     val bias: Array[Double] = new Array[Double](out)
-    val wGrad: Array[Double] = new Array[Double](weight.length)
-    val bGrad: Array[Double] = new Array[Double](out)
+    def params: IndexedSeq[Array[Double]] = IndexedSeq(weight, bias)
 
     def forward(x: Array[Double]): Array[Double] = {
       require(x.length == in, s"dense input ${x.length} vs $in")
@@ -247,8 +250,12 @@ object CommCNN {
       y
     }
 
-    /** Gradient w.r.t. `x`, the input of the matching forward. */
-    def backward(x: Array[Double], gradOut: Array[Double]): Array[Double] = {
+    /** Gradient w.r.t. `x`, the input of the matching forward. Adds the
+      * parameter gradients into `grads`, aligned with `params`. */
+    def backward(x: Array[Double], gradOut: Array[Double],
+                 grads: IndexedSeq[Array[Double]]): Array[Double] = {
+      val wGrad = grads(0)
+      val bGrad = grads(1)
       val gradIn = new Array[Double](in)
       var o = 0
       while (o < out) {
@@ -274,14 +281,22 @@ object CommCNN {
       layers.foreach { l => val s = l.outShape(c, h, w); c = s._1; h = s._2; w = s._3 }
       c * h * w
     }
+    def params: IndexedSeq[Array[Double]] = layers.toIndexedSeq.flatMap(_.params)
     /** `x` followed by every layer's output; the last one is the path output. */
     def activations(x: Tensor3): Array[Tensor3] = layers.scanLeft(x)((t, l) => l.forward(t)).toArray
     /** Backward through the path, given `activations(x)` and the gradient
-      * w.r.t. the flattened path output. */
-    def backward(acts: Array[Tensor3], grad: Array[Double]): Tensor3 = {
+      * w.r.t. the flattened path output. Adds the parameter gradients into
+      * `grads`, aligned with `params`. */
+    def backward(acts: Array[Tensor3], grad: Array[Double],
+                 grads: IndexedSeq[Array[Double]]): Tensor3 = {
       val out = acts.last
       var g = new Tensor3(out.c, out.h, out.w, grad)
-      layers.zip(acts).reverseIterator.foreach { case (l, in) => g = l.backward(in, g) }
+      var end = grads.length
+      layers.zip(acts).reverseIterator.foreach { case (l, in) =>
+        val start = end - l.params.length
+        g = l.backward(in, g, grads.slice(start, end))
+        end = start
+      }
       g
     }
   }
@@ -291,10 +306,11 @@ object CommCNN {
                           learningRate: Double = 1e-3, epochs: Int = 40,
                           batchSize: Int = 32, seed: Long = 17)
 
-  /** The assembled network. Inference (`forwardLogits`) only reads the
-    * weights, so any number of threads may share one network; training
-    * (`lossAndBackward`, `zeroGrads`) writes the gradient arrays and is
-    * single-threaded. */
+  /** The assembled network. It holds the weights and nothing else:
+    * `forwardLogits` and `lossAndBackward` only read them, so any number of
+    * threads may share one network. Training writes only into gradient
+    * buffers (`newGrads`) and, through `Adam.step` between minibatches, into
+    * the weights. */
   final class Network(val cfg: Config) extends Serializable {
     require(cfg.k >= 5 && cfg.d >= 5, s"CommCNN needs k>=5 and d>=5, got k=${cfg.k} d=${cfg.d}")
     private val rng = new Random(cfg.seed)
@@ -343,26 +359,34 @@ object CommCNN {
     val fc1 = new Dense(concatLen, cfg.hidden, rng)
     val fc2 = new Dense(cfg.hidden, cfg.numClasses, rng)
 
-    def paramArrays: Seq[Array[Double]] =
-      (wide.layers ++ long.layers ++ square.layers).flatMap(_.params) ++
-        Seq(fc1.weight, fc1.bias, fc2.weight, fc2.bias)
-    def gradArrays: Seq[Array[Double]] =
-      (wide.layers ++ long.layers ++ square.layers).flatMap(_.grads) ++
-        Seq(fc1.wGrad, fc1.bGrad, fc2.wGrad, fc2.bGrad)
+    /** Every weight and bias array: the wide, long and square paths, then
+      * fc1 and fc2. */
+    val paramArrays: IndexedSeq[Array[Double]] =
+      wide.params ++ long.params ++ square.params ++ fc1.params ++ fc2.params
+    /** Where the arrays of wide, long, square, fc1 and fc2 start in
+      * `paramArrays`, followed by its length. */
+    private val partAt: Array[Int] =
+      Array(wide.params, long.params, square.params, fc1.params, fc2.params)
+        .map(_.length).scanLeft(0)(_ + _)
 
-    def zeroGrads(): Unit = gradArrays.foreach(g => java.util.Arrays.fill(g, 0.0))
+    /** A zero gradient buffer: one array per entry of `paramArrays`, of the
+      * same length. */
+    def newGrads(): IndexedSeq[Array[Double]] = paramArrays.map(p => new Array[Double](p.length))
 
     /** Activations of one forward pass: each path's `activations`, the
-      * concatenated path outputs, fc1's pre-ReLU output and the logits. */
+      * concatenated path outputs, fc1's output before and after its ReLU,
+      * and the logits. */
     private final class Pass(val wide: Array[Tensor3], val long: Array[Tensor3],
                              val square: Array[Tensor3], val cat: Array[Double],
-                             val h1: Array[Double], val logits: Array[Double])
+                             val h1: Array[Double], val a1: Array[Double],
+                             val logits: Array[Double])
 
     private def pass(x: Tensor3): Pass = {
       val (w, l, s) = (wide.activations(x), long.activations(x), square.activations(x))
       val cat = w.last.data ++ l.last.data ++ s.last.data
       val h1 = fc1.forward(cat)
-      new Pass(w, l, s, cat, h1, fc2.forward(relu(h1)))
+      val a1 = relu(h1)
+      new Pass(w, l, s, cat, h1, a1, fc2.forward(a1))
     }
 
     private def relu(h: Array[Double]): Array[Double] = h.map(v => math.max(v, 0.0))
@@ -376,38 +400,79 @@ object CommCNN {
       e.map(_ / s)
     }
 
-    /** Cross-entropy loss for one sample; accumulates parameter gradients. */
-    def lossAndBackward(x: Tensor3, label: Int): Double = {
+    /** Cross-entropy loss for one sample; adds its parameter gradients into
+      * `grads`, a buffer from `newGrads`. */
+    def lossAndBackward(x: Tensor3, label: Int, grads: IndexedSeq[Array[Double]]): Double = {
+      def part(i: Int) = grads.slice(partAt(i), partAt(i + 1))
       val fw = pass(x)
       val p = softmax(fw.logits)
       val loss = -math.log(math.max(p(label), 1e-12))
       val gradLogits = p.clone()
       gradLogits(label) -= 1.0
-      val gH1 = fc2.backward(relu(fw.h1), gradLogits)
+      val gH1 = fc2.backward(fw.a1, gradLogits, part(4))
       var i = 0
       while (i < gH1.length) { if (!(fw.h1(i) > 0)) gH1(i) = 0.0; i += 1 }
-      val gCat = fc1.backward(fw.cat, gH1)
-      wide.backward(fw.wide, gCat.slice(0, wide.outLen))
-      long.backward(fw.long, gCat.slice(wide.outLen, wide.outLen + long.outLen))
-      square.backward(fw.square, gCat.slice(wide.outLen + long.outLen, concatLen))
+      val gCat = fc1.backward(fw.cat, gH1, part(3))
+      wide.backward(fw.wide, gCat.slice(0, wide.outLen), part(0))
+      long.backward(fw.long, gCat.slice(wide.outLen, wide.outLen + long.outLen), part(1))
+      square.backward(fw.square, gCat.slice(wide.outLen + long.outLen, concatLen), part(2))
       loss
+    }
+  }
+
+  /** Number of slices a minibatch is split into. It fixes the order in which
+    * the per-sample gradients are summed, so it is part of the algorithm:
+    * the trained weights are the same whatever the number of threads. */
+  private val Shards = 8
+
+  /** Minibatch gradients on one network, split over `Shards` contiguous
+    * slices of the batch: shard s gets samples [n·s/8, n·(s+1)/8). The
+    * shards run as a parallel stream, on the caller's ForkJoin pool if the
+    * caller is a worker of one and on the common pool otherwise. Each shard
+    * adds its samples, in order, into its own buffer, starting from zero, and
+    * the buffers are then summed in shard order. All shards read the one
+    * network; nothing writes to it while they run. */
+  private[ml] final class ShardedGradient(net: Network) {
+    private val bufs = Array.fill(Shards)(net.newGrads())
+
+    /** Summed loss gradient of the samples `order(start until end)` of
+      * `xs`/`ys`, aligned with `net.paramArrays`. The buffer is reused by the
+      * next call. */
+    def apply(xs: Array[Tensor3], ys: Array[Int], order: Array[Int],
+              start: Int, end: Int): IndexedSeq[Array[Double]] = {
+      val n = end - start
+      IntStream.range(0, Shards).parallel().forEach { s =>
+        val g = bufs(s)
+        g.foreach(java.util.Arrays.fill(_, 0.0))
+        var i = start + n * s / Shards
+        val e = start + n * (s + 1) / Shards
+        while (i < e) { net.lossAndBackward(xs(order(i)), ys(order(i)), g); i += 1 }
+      }
+      val sum = bufs(0)
+      for (s <- 1 until Shards; a <- sum.indices) {
+        val to = sum(a); val from = bufs(s)(a)
+        var i = 0
+        while (i < to.length) { to(i) += from(i); i += 1 }
+      }
+      sum
     }
   }
 
   /** Adam optimizer over the network's parameter arrays. */
   final class Adam(net: Network, lr: Double) {
     private val ps = net.paramArrays
-    private val gs = net.gradArrays
     private val m = ps.map(p => new Array[Double](p.length))
     private val v = ps.map(p => new Array[Double](p.length))
     private var t = 0
-    def step(batchSize: Int): Unit = {
+    /** Apply `grads`, the summed gradient of `batchSize` samples, aligned
+      * with `net.paramArrays`. */
+    def step(grads: IndexedSeq[Array[Double]], batchSize: Int): Unit = {
       t += 1
       val bc1 = 1.0 - math.pow(0.9, t)
       val bc2 = 1.0 - math.pow(0.999, t)
       var a = 0
       while (a < ps.length) {
-        val p = ps(a); val g = gs(a); val ma = m(a); val va = v(a)
+        val p = ps(a); val g = grads(a); val ma = m(a); val va = v(a)
         var i = 0
         while (i < p.length) {
           val gi = g(i) / batchSize
@@ -441,6 +506,7 @@ object CommCNN {
     require(mats.length == labels.length && mats.nonEmpty, "empty or mismatched training data")
     val net = new Network(cfg.copy(numClasses = classes.length))
     val adam = new Adam(net, cfg.learningRate)
+    val gradient = new ShardedGradient(net)
     val tensors = mats.map(toTensor)
     val idx = Array.tabulate(mats.length)(identity)
     val rng = new Random(cfg.seed + 1)
@@ -451,10 +517,7 @@ object CommCNN {
       var start = 0
       while (start < idx.length) {
         val end = math.min(start + cfg.batchSize, idx.length)
-        net.zeroGrads()
-        var i = start
-        while (i < end) { net.lossAndBackward(tensors(idx(i)), labels(idx(i))); i += 1 }
-        adam.step(end - start)
+        adam.step(gradient(tensors, labels, idx, start, end), end - start)
         start = end
       }
       epoch += 1

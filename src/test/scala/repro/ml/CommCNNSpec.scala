@@ -1,5 +1,6 @@
 package repro.ml
 
+import java.util.concurrent.{Callable, ForkJoinPool}
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 
@@ -40,6 +41,25 @@ class CommCNNSpec extends AnyFunSuite {
       mats.length
 
   private def bits(xs: Array[Double]): Seq[Long] = xs.toSeq.map(java.lang.Double.doubleToRawLongBits)
+
+  private def paramBits(m: Model): Seq[Seq[Long]] = m.net.paramArrays.map(bits)
+
+  /** Run `body` as a task of a fresh ForkJoin pool with `threads` workers,
+    * so the training's parallel stream runs on that pool. */
+  private def inPool[T](threads: Int)(body: => T): T = {
+    val pool = new ForkJoinPool(threads)
+    try pool.submit(new Callable[T] { def call(): T = body }).get()
+    finally pool.shutdown()
+  }
+
+  /** Sets every bias to 0.1·N(0,1) (seed 8). Biases start at exactly 0, so a
+    * unit whose inputs the previous ReLU zeroed sits on its own ReLU's kink;
+    * jittered biases move the network to a generic point. */
+  private def jitterBiases(net: Network): Unit = {
+    val jitter = new Random(8)
+    (Seq(net.wide, net.long, net.square).flatMap(_.layers).collect { case c: Conv2D => c.bias } ++
+      Seq(net.fc1.bias, net.fc2.bias)).foreach(b => b.indices.foreach(i => b(i) = 0.1 * jitter.nextGaussian()))
+  }
 
   test("toTensor round-trips values") {
     val m = randMat(4, 3, 0)
@@ -84,21 +104,16 @@ class CommCNNSpec extends AnyFunSuite {
 
   private def gradientCheck(cfg: Config): Unit = {
     val net = new Network(cfg)
-    // Biases start at exactly 0, so a unit whose inputs the previous ReLU
-    // zeroed sits on its own ReLU's kink, where central differences are not
-    // the gradient. Jittered biases put the check at a generic point.
-    val jitter = new Random(8)
-    (Seq(net.wide, net.long, net.square).flatMap(_.layers).collect { case c: Conv2D => c.bias } ++
-      Seq(net.fc1.bias, net.fc2.bias)).foreach(b => b.indices.foreach(i => b(i) = 0.1 * jitter.nextGaussian()))
+    // at a ReLU kink central differences are not the gradient
+    jitterBiases(net)
     val x = toTensor(randMat(cfg.k, cfg.d, 6))
     val label = 1
     def loss(): Double = {
       val p = net.softmax(net.forwardLogits(x))
       -math.log(math.max(p(label), 1e-12))
     }
-    net.zeroGrads()
-    net.lossAndBackward(x, label)
-    val analytic = net.gradArrays.map(_.clone())
+    val analytic = net.newGrads()
+    net.lossAndBackward(x, label, analytic)
     val eps = 1e-6
     val rng = new Random(7)
     net.paramArrays.zipWithIndex.foreach { case (p, ai) =>
@@ -116,6 +131,92 @@ class CommCNNSpec extends AnyFunSuite {
         val denom = math.max(1e-4, math.abs(num) + math.abs(ana))
         assert(math.abs(num - ana) / denom < 1e-3,
           s"k=${cfg.k} d=${cfg.d} array $ai idx $i: numeric=$num analytic=$ana")
+      }
+    }
+  }
+
+  test("lossAndBackward adds into the buffer it is given and leaves the weights alone") {
+    val net = new Network(smallCfg)
+    val x = toTensor(randMat(6, 5, 16))
+    val weights = net.paramArrays.map(bits)
+    val once = net.newGrads()
+    net.lossAndBackward(x, 2, once)
+    val twice = net.newGrads()
+    net.lossAndBackward(x, 2, twice)
+    net.lossAndBackward(x, 2, twice)
+    once.zip(twice).foreach { case (g1, g2) =>
+      g1.indices.foreach(i => assert(g2(i) == 2 * g1(i)))
+    }
+    assert(once.exists(_.exists(_ != 0.0)))
+    assert(net.paramArrays.map(bits) == weights)
+  }
+
+  test("predictProba is bitwise unchanged for fixed weights") {
+    // Recorded when the layers still held their own gradient arrays:
+    // inference must not depend on where training keeps its gradients.
+    val expected = Seq(
+      Config(k = 6, d = 5, numClasses = 3, filters = 2, hidden = 4, seed = 3) -> Seq(
+        Seq(0x3f65ddb4fc3e0472L, 0x3feef20e9e765e71L, 0x3f9f027591ac7130L),
+        Seq(0x3e611da28e09badcL, 0x3fefff9e812e059fL, 0x3f085b6d15f4ceffL),
+        Seq(0x3eb5b88dc8210e41L, 0x3feffc6f15fee36eL, 0x3f3c71977b1c7333L),
+        Seq(0x3fd0a08b4e669d31L, 0x3fdbc2b8fd67bc6fL, 0x3fd39cbbb431a65fL)),
+      Config(k = 20, d = 9, numClasses = 3, seed = 4) -> Seq(
+        Seq(0x3fc862621035c3c9L, 0x3fe9d1d9a949a68aL, 0x3f658dd2a8e88353L),
+        Seq(0x3fe1bc40f96728c3L, 0x3fdbcea0bfc76f51L, 0x3f871ba9ad47e574L),
+        Seq(0x3fdd6dc75f608a76L, 0x3fe11a486b3aef16L, 0x3f7769f28a65d778L),
+        Seq(0x3fd6af89db3700f7L, 0x3fd3635de9d66f18L, 0x3fd5ed183af28ff1L)))
+    expected.foreach { case (cfg, want) =>
+      val net = new Network(cfg)
+      jitterBiases(net)
+      val m = new Model(net, Array("a", "b", "c"))
+      val rng = new Random(21)
+      val mats = Seq.fill(3)(Array.fill(cfg.k, cfg.d)(rng.nextGaussian())) :+
+        Array.fill(cfg.k, cfg.d)(0.0)
+      assert(mats.map(mat => bits(m.predictProba(mat))) == want, s"k=${cfg.k} d=${cfg.d}")
+    }
+  }
+
+  test("the shard-reduced minibatch gradient equals the sequential per-sample sum") {
+    val (mats, labels) = syntheticData(37, 20, 9, 17)
+    val xs = mats.map(toTensor)
+    val order = Array.tabulate(mats.length)(i => (i * 11) % mats.length)
+    val net = new Network(smallCfg.copy(k = 20, d = 9))
+    jitterBiases(net)
+    Seq((0, 37), (2, 35), (5, 8), (9, 10)).foreach { case (start, end) =>
+      val sharded = new ShardedGradient(net)(xs, labels, order, start, end)
+      val sequential = net.newGrads()
+      (start until end).foreach(i => net.lossAndBackward(xs(order(i)), labels(order(i)), sequential))
+      sharded.zip(sequential).zipWithIndex.foreach { case ((a, b), ai) =>
+        val scale = b.map(math.abs).max
+        val err = a.indices.map(i => math.abs(a(i) - b(i))).max
+        assert(err <= 1e-12 * scale, s"batch [$start, $end) array $ai: max error $err, scale $scale")
+      }
+    }
+  }
+
+  test("trained parameters are bitwise identical in 1-worker and 4-worker ForkJoin pools") {
+    val (mats, labels) = syntheticData(70, 20, 9, 18)
+    val cfg = smallCfg.copy(k = 20, d = 9, filters = 4, hidden = 8, epochs = 2)
+    val one = paramBits(inPool(1)(CommCNN.train(mats, labels, Array("a", "b", "c"), cfg)))
+    val four = paramBits(inPool(4)(CommCNN.train(mats, labels, Array("a", "b", "c"), cfg)))
+    val common = paramBits(CommCNN.train(mats, labels, Array("a", "b", "c"), cfg))
+    assert(one == four)
+    assert(one == common)
+  }
+
+  test("batch sizes that are not a multiple of 8, and fewer samples than shards, train as sequentially") {
+    val classes = Array("a", "b", "c")
+    Seq(40 -> 1, 40 -> 3, 40 -> 7, 40 -> 33, 5 -> 32, 5 -> 3).foreach { case (n, batch) =>
+      val (mats, labels) = syntheticData(n, 6, 5, 19)
+      val cfg = smallCfg.copy(batchSize = batch, epochs = 3)
+      val sharded = inPool(4)(CommCNN.train(mats, labels, classes, cfg))
+      assert(paramBits(sharded) == paramBits(inPool(1)(CommCNN.train(mats, labels, classes, cfg))),
+        s"n=$n batch=$batch")
+      val sequential = CommCNNSequentialOracle.train(mats, labels, classes, cfg)
+      sharded.net.paramArrays.zip(sequential.net.paramArrays).zipWithIndex.foreach { case ((a, b), ai) =>
+        a.indices.foreach { i =>
+          assert(math.abs(a(i) - b(i)) <= 1e-9, s"n=$n batch=$batch array $ai idx $i: ${a(i)} vs ${b(i)}")
+        }
       }
     }
   }
