@@ -11,39 +11,75 @@ import repro.ml.LogisticRegression
   *   f_<u,v> = [tightness(u, C_u), tightness(v, C_v), r^{C_u}, r^{C_v}]
   *
   * where C_u is u's local community in v's ego network and vice versa.
+  *
+  * Every friend assignment is one side of exactly one edge, so Phase III is
+  * one pass keyed by the canonical pair (min, max): the assignments joined
+  * with their community's prediction become side rows, and one cogroup
+  * meets them with the edges asked for.
   */
 object EdgeLabeler {
 
-  /** Eq. 4 feature vectors for the given (src, dst) edges (canonical
-    * src < dst). Edges whose endpoints lack an assignment (degree-0 side —
-    * impossible for real edges) are dropped. */
+  /** An edge to featurize: `label` is its observed type (null when none)
+    * and `isTarget` marks an edge to predict. */
+  final case class Request(src: Long, dst: Long, label: String, isTarget: Boolean)
+
+  /** One side of Eq. 4 for the pair (lo, hi): the tightness and class
+    * probabilities of one endpoint's community in the other's ego network.
+    * `isU` when that ego network is hi's, i.e. the side is C_lo. */
+  final case class Side(lo: Long, hi: Long, isU: Boolean, tightness: Double, probs: Array[Double])
+
+  /** A request with its Eq. 4 vector. */
+  final case class EdgeFeat(src: Long, dst: Long, feats: Array[Double], label: String,
+                            isTarget: Boolean)
+
+  /** The requests of one `LoCEC.label` call: every `target` (src, dst) edge
+    * to predict and every `labeled` (src, dst, label) edge to train on. An
+    * edge in both is requested twice, once per role. */
+  def requests(spark: SparkSession, target: DataFrame, labeled: DataFrame): Dataset[Request] = {
+    import spark.implicits._
+    targets(spark, target)
+      .union(labeled.select($"src", $"dst", $"label", lit(false) as "isTarget"))
+      .as[Request]
+  }
+
+  private def targets(spark: SparkSession, edges: DataFrame): DataFrame = {
+    import spark.implicits._
+    edges.select($"src", $"dst", lit(null).cast("string") as "label", lit(true) as "isTarget")
+  }
+
+  /** Eq. 4 vectors for `requests`, one row per request whose edge has both
+    * sides; the rest (pairs that are no edge, self-pairs) are dropped. A
+    * request may name its edge in either order: (dst, src) gives
+    * [t_v, t_u, r^{C_v}, r^{C_u}] of (src, dst). */
+  def keyed(spark: SparkSession, requests: Dataset[Request],
+            assigns: Dataset[EgoAssign], preds: Dataset[CommPred]): Dataset[EdgeFeat] = {
+    import spark.implicits._
+    val sides = assigns.toDF()
+      .join(preds.toDF().select("ego", "comm", "probs"), Seq("ego", "comm"))
+      .select(least($"ego", $"friend") as "lo", greatest($"ego", $"friend") as "hi",
+        $"ego" === greatest($"ego", $"friend") as "isU", $"tightness", $"probs")
+      .as[Side]
+    sides.groupByKey(s => (s.lo, s.hi))
+      .cogroup(requests.groupByKey(r => (math.min(r.src, r.dst), math.max(r.src, r.dst)))) {
+        (_, ss, rs) =>
+          val (us, vs) = ss.toArray.partition(_.isU)
+          rs.flatMap { r =>
+            // C_src lies in dst's ego network: the U side when src is the smaller id
+            val (cSrc, cDst) = if (r.src < r.dst) (us, vs) else (vs, us)
+            for (a <- cSrc.iterator; b <- cDst.iterator)
+              yield EdgeFeat(r.src, r.dst, Array(a.tightness, b.tightness) ++ a.probs ++ b.probs,
+                r.label, r.isTarget)
+          }
+      }
+  }
+
+  /** Eq. 4 feature vectors (src, dst, feats) for the given (src, dst)
+    * edges: `keyed` with every edge requested as a target. Edges without
+    * both sides are dropped. */
   def features(spark: SparkSession, edges: DataFrame,
                assigns: Dataset[EgoAssign], preds: Dataset[CommPred]): DataFrame = {
     import spark.implicits._
-    val a = assigns.toDF()
-    val p = preds.toDF()
-
-    // C_u = src's community inside dst's ego network
-    val srcSide = edges.select("src", "dst")
-      .join(a.select($"ego", $"friend", $"comm", $"tightness"),
-            $"ego" === $"dst" && $"friend" === $"src")
-      .select($"src", $"dst", $"ego" as "egoU", $"comm" as "commU", $"tightness" as "tu")
-      .join(p.select($"ego" as "egoU", $"comm" as "commU", $"probs" as "pu"),
-            Seq("egoU", "commU"))
-      .select("src", "dst", "tu", "pu")
-
-    // C_v = dst's community inside src's ego network
-    val dstSide = edges.select("src", "dst")
-      .join(a.select($"ego", $"friend", $"comm", $"tightness"),
-            $"ego" === $"src" && $"friend" === $"dst")
-      .select($"src", $"dst", $"ego" as "egoV", $"comm" as "commV", $"tightness" as "tv")
-      .join(p.select($"ego" as "egoV", $"comm" as "commV", $"probs" as "pv"),
-            Seq("egoV", "commV"))
-      .select("src", "dst", "tv", "pv")
-
-    srcSide.join(dstSide, Seq("src", "dst"))
-      .select($"src", $"dst",
-        concat(array($"tu", $"tv"), $"pu", $"pv") as "feats")
+    keyed(spark, targets(spark, edges).as[Request], assigns, preds).select("src", "dst", "feats")
   }
 
   /** Train the Phase III LR on labeled edges.

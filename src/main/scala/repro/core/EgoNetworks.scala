@@ -1,6 +1,8 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.expressions.UserDefinedFunction
+import org.apache.spark.sql.functions.udf
 
 /** Phase I dataflow: ego-network construction as DataFrame joins.
   *
@@ -10,15 +12,25 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
   *   - `egoInnerEdges`: (ego, a, b)    — for every ego, the edges among its
   *     friends, i.e. triangle enumeration: a wedge a–ego–b closed by the
   *     edge (a, b).
-  * Input `edges` must be canonical (src < dst, no duplicates).
+  * Input `edges` must be canonical (src < dst, no duplicates): `egoMembers`
+  * rejects self-loops and src > dst rows, and `LocalCommunities.detect`
+  * rejects duplicates.
   */
 object EgoNetworks {
 
+  /** `src`, after checking that (src, dst) is a canonical edge. One shared
+    * instance, so plans built from the same edges stay equal. */
+  private val canonicalSrc: UserDefinedFunction = udf { (src: Long, dst: Long) =>
+    require(src != dst, s"self-loop ($src, $dst) in edges")
+    require(src < dst, s"edge ($src, $dst) is not canonical: edges must have src < dst")
+    src
+  }
+
   /** (ego, friend) pairs — each undirected edge contributes both
-    * directions. */
+    * directions. Fails on a self-loop or a src > dst edge, naming it. */
   def egoMembers(spark: SparkSession, edges: DataFrame): DataFrame = {
     import spark.implicits._
-    edges.select($"src" as "ego", $"dst" as "friend")
+    edges.select(canonicalSrc($"src", $"dst") as "ego", $"dst" as "friend")
       .union(edges.select($"dst" as "ego", $"src" as "friend"))
   }
 

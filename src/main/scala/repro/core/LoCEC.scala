@@ -100,8 +100,11 @@ object LoCEC {
 
   /** Training, Phase II classification and Phase III on a `divide` output.
     * Uses the model fields of `params` (`variant`, `gbdt`, `cnn`, `lr`,
-    * `maxTrainCommunities`). The Phase III training rows are sorted by
-    * (src, dst), so the LR fit does not depend on Spark's partitioning.
+    * `maxTrainCommunities`). Phase III is one `EdgeLabeler.keyed` pass over
+    * the target and training edges; its training rows are sorted by
+    * (src, dst, label), so the LR fit does not depend on Spark's
+    * partitioning, and its intermediate is released once `edgePreds` is
+    * materialized.
     *
     * @param trainEdges (src, dst, label) observed labels; a label outside
     *                   `RelationType.Major` fails with
@@ -135,24 +138,19 @@ object LoCEC {
 
     // ---- Phase III: combination — Eq. 4 features + LR ------------------
     val (edgePreds, phase3Sec) = timed {
-      val allFeats = EdgeLabeler.features(spark,
-        target.select("src", "dst").union(trainEdges.select("src", "dst")).distinct(),
+      val feats = EdgeLabeler.keyed(spark, EdgeLabeler.requests(spark, target, trainEdges),
         assigns, commPreds).persist(StorageLevel.MEMORY_AND_DISK)
-      val trainFeats = allFeats
-        .join(trainEdges.select("src", "dst", "label"), Seq("src", "dst"))
-        .select("src", "dst", "feats", "label")
-        .as[(Long, Long, Seq[Double], String)]
-        .collect()
-        .sortBy { case (src, dst, _, _) => (src, dst) }
-        .map { case (_, _, f, l) => (f.toArray, l) }
+      val trainFeats = feats.where($"label".isNotNull).collect()
+        .sortBy(e => (e.src, e.dst, e.label))
+        .map(e => (e.feats, e.label))
         .toSeq
       require(trainFeats.nonEmpty, "no labeled edges with Phase II features")
       requireMajor("labeled edges", trainFeats.map(_._2))
       val lrModel = EdgeLabeler.train(trainFeats, params.lr)
-      val preds = EdgeLabeler.predict(spark,
-        allFeats.join(target.select("src", "dst"), Seq("src", "dst")), lrModel)
+      val preds = EdgeLabeler.predict(spark, feats.where($"isTarget").toDF(), lrModel)
         .persist(StorageLevel.MEMORY_AND_DISK)
       preds.count()
+      feats.unpersist()
       preds
     }
 

@@ -45,7 +45,8 @@ object LocalCommunities {
     detect(spark, edges, EgoNetworks.egoInnerEdges(spark, edges), patienceFrac)
 
   /** Distributed Phase I: cogroup the (ego, friend) membership pairs with
-    * the (ego, a, b) inner edges and run GN per ego.
+    * the (ego, a, b) inner edges and run GN per ego. Fails on a duplicate
+    * edge, naming it.
     * @param inner `EgoNetworks.egoInnerEdges` of `edges` */
   def detect(spark: SparkSession, edges: DataFrame, inner: DataFrame,
              patienceFrac: Double): Dataset[EgoAssign] = {
@@ -53,6 +54,8 @@ object LocalCommunities {
     val members = EgoNetworks.egoMembers(spark, edges).as[(Long, Long)]
     members.groupByKey(_._1).cogroup(inner.as[(Long, Long, Long)].groupByKey(_._1)) { (ego, ms, es) =>
       val friends = ms.map(_._2).toArray
+      val dups = friends.diff(friends.distinct)
+      require(dups.isEmpty, s"duplicate edge (${math.min(ego, dups(0))}, ${math.max(ego, dups(0))}) in edges")
       val innerE = es.map(t => (t._2, t._3)).toSeq
       if (friends.isEmpty) Iterator.empty
       else detectOne(ego, friends, innerE, patienceFrac).iterator

@@ -1,7 +1,9 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
 import repro.SparkSpec
-import repro.ml.LogisticRegression
+import repro.exp.Experiments
+import repro.ml.{CommCNN, GBDT, LogisticRegression}
 
 class EdgeLabelerSpec extends SparkSpec {
   import spark.implicits._
@@ -75,13 +77,59 @@ class EdgeLabelerSpec extends SparkSpec {
     assert(out(1)._3 == "family")
   }
 
-  test("feature computation is symmetric in canonical edge order") {
-    // same pair, same assignments: result must not depend on join order
-    val f1 = EdgeLabeler.features(spark, edge, assigns, preds)
-      .select("feats").as[Seq[Double]].head()
-    val f2 = EdgeLabeler.features(spark, edge, assigns, preds)
-      .select("feats").as[Seq[Double]].head()
-    assert(f1 == f2)
+  test("a reversed (dst, src) request swaps the two sides of Eq. 4") {
+    // (2, 1) must give [t_v, t_u, r^{C_v}, r^{C_u}] of (1, 2)
+    def feats(src: Long, dst: Long) = EdgeLabeler.features(spark, Seq((src, dst)).toDF("src", "dst"),
+      assigns, preds).as[(Long, Long, Seq[Double])].collect().toSeq
+    val Seq((1L, 2L, f12)) = feats(1L, 2L)
+    val Seq((2L, 1L, f21)) = feats(2L, 1L)
+    assert(f21 == Seq(f12(1), f12(0)) ++ f12.slice(5, 8) ++ f12.slice(2, 5))
+    assert(f21 == Seq(0.6, 0.8, 0.1, 0.8, 0.1, 0.7, 0.2, 0.1))
+  }
+
+  test("features equals the join-chain oracle bitwise on every request shape") {
+    val st = Experiments.setup(spark, numUsers = 300, seed = 7)
+    val pre = LoCEC.divide(spark, st.edges, st.interactions, st.userFeatures, LoCEC.Params())
+    val small = LoCEC.Params(gbdt = GBDT.Params(numRounds = 5),
+      cnn = CommCNN.Config(filters = 2, hidden = 8, epochs = 2),
+      lr = LogisticRegression.Params(epochs = 100))
+    val edges = st.edges.select("src", "dst")
+    val train = st.trainEdges.select("src", "dst")
+    val test = st.testEdges.select("src", "dst")
+    val notInGraph = edges.select($"src", $"dst" + 1 as "dst").except(edges)
+      .union(edges.select($"src", $"dst" + 100000 as "dst"))
+    val selfPairs = edges.select($"src", $"src" as "dst")
+    val reversed = edges.select($"dst" as "src", $"src" as "dst")
+    val requestSets = Seq(
+      "all edges" -> edges,
+      "train ∪ test, some in both" -> train.union(test).union(test.where($"src" % 2 === 0)),
+      "duplicated rows" -> edges.union(edges.where($"dst" % 3 === 0)).union(edges),
+      "pairs not in the graph" -> edges.union(notInGraph),
+      "self-pairs" -> edges.union(selfPairs),
+      "reversed" -> reversed.union(edges.where($"src" % 2 === 0)))
+    def rows(df: DataFrame): Map[(Long, Long, Seq[Long]), Int] =
+      df.select("src", "dst", "feats").as[(Long, Long, Seq[Double])].collect().toSeq
+        .groupBy { case (s, d, f) => (s, d, f.map(java.lang.Double.doubleToRawLongBits)) }
+        .map { case (k, v) => k -> v.length }
+
+    Seq(LoCEC.Xgb, LoCEC.Cnn).foreach { v =>
+      val commPreds = LoCEC.label(spark, pre, st.trainEdges, test, small.copy(variant = v)).commPreds
+      requestSets.foreach { case (name, requests) =>
+        val got = rows(EdgeLabeler.features(spark, requests, pre.assigns, commPreds))
+        // one row per request; the oracle's final (src, dst) join would give
+        // d² rows for a pair requested d times, so it runs on distinct pairs
+        val times = requests.groupBy("src", "dst").count().as[(Long, Long, Long)].collect()
+          .map { case (s, d, n) => (s, d) -> n.toInt }.toMap
+        val want = rows(EdgeLabelerOracle.features(spark, requests.distinct(), pre.assigns, commPreds))
+          .map { case (k @ (s, d, _), n) => k -> n * times((s, d)) }
+        assert(want.nonEmpty, (v, name))
+        assert(got == want, (v, name))
+      }
+      assert(rows(EdgeLabeler.features(spark, edges, pre.assigns, commPreds)).values.sum == edges.count(), v)
+      Seq(notInGraph, selfPairs).foreach { dropped =>
+        assert(EdgeLabeler.features(spark, dropped, pre.assigns, commPreds).isEmpty, v)
+      }
+    }
   }
 
   test("train throws on empty input") {

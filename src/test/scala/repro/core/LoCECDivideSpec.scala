@@ -98,26 +98,31 @@ class LoCECDivideSpec extends SparkSpec {
     } finally spark.conf.set(key, saved)
   }
 
-  test("label with Cnn is identical under 1 and 8 shuffle partitions") {
+  test("label (Xgb, Cnn) is identical under 1, 8 and 64 shuffle partitions") {
     val key = "spark.sql.shuffle.partitions"
     val saved = spark.conf.get(key)
-    def labelWith(partitions: Int): (Seq[((Long, Int), Seq[Long])], Seq[(Long, Long, String)]) = {
+    def labelWith(v: LoCEC.Variant, partitions: Int): (Seq[((Long, Int), Seq[Long])], Seq[(Long, Long, String)]) = {
       spark.conf.set(key, partitions.toString)
       val r = LoCEC.label(spark, pre, st.trainEdges, st.edges.select("src", "dst"),
-        small.copy(variant = LoCEC.Cnn))
+        small.copy(variant = v))
       val out = (r.commPreds.collect().map(c => (c.ego, c.comm) -> bits(c.probs)).sortBy(_._1).toSeq,
                  r.edgePreds.select("src", "dst", "pred").as[(Long, Long, String)].collect()
                    .sortBy(e => (e._1, e._2)).toSeq)
-      // so the second run cannot read the first run's cached plans
+      // so the next run cannot read this run's cached plans
       r.commPreds.unpersist(blocking = true)
       r.edgePreds.unpersist(blocking = true)
       out
     }
     try {
-      val (c1, e1) = labelWith(1)
-      val (c8, e8) = labelWith(8)
-      assert(c1.nonEmpty && c1 == c8)
-      assert(e1.length == st.edges.count() && e1 == e8)
+      Seq(LoCEC.Xgb, LoCEC.Cnn).foreach { v =>
+        val (c1, e1) = labelWith(v, 1)
+        assert(c1.nonEmpty && e1.length == st.edges.count(), v)
+        Seq(8, 64).foreach { n =>
+          val (cn, en) = labelWith(v, n)
+          assert(c1 == cn, (v, n))
+          assert(e1 == en, (v, n))
+        }
+      }
     } finally spark.conf.set(key, saved)
   }
 
@@ -143,5 +148,40 @@ class LoCECDivideSpec extends SparkSpec {
       assert(preds.length == target.count(), v)
       assert(preds.forall(_ == RelationType.Family), (v, preds.distinct.toSeq))
     }
+  }
+
+  private def divideFailure(edges: Seq[(Long, Long)]): String = {
+    val e = intercept[Exception] {
+      LoCEC.divide(spark, edges.toDF("src", "dst"), noInteractions, Map.empty[Long, Array[Double]], p)
+    }
+    val cause = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
+      .collectFirst { case iae: IllegalArgumentException => iae }
+    assert(cause.isDefined, e)
+    cause.get.getMessage
+  }
+
+  test("divide rejects a self-loop and names it") {
+    val msg = divideFailure(Seq((1L, 2L), (2L, 3L), (3L, 3L)))
+    assert(msg.contains("self-loop (3, 3)"), msg)
+  }
+
+  test("divide rejects an edge with src > dst and names it") {
+    val msg = divideFailure(Seq((1L, 2L), (3L, 2L), (1L, 3L)))
+    assert(msg.contains("edge (3, 2) is not canonical"), msg)
+  }
+
+  test("divide rejects a duplicate edge and names it") {
+    val msg = divideFailure(Seq((1L, 2L), (2L, 3L), (1L, 3L), (2L, 3L)))
+    assert(msg.contains("duplicate edge (2, 3)"), msg)
+  }
+
+  // clears the whole cache, so it runs last
+  test("label leaves nothing cached beyond the four Result Datasets") {
+    spark.catalog.clearCache()
+    val pre = LoCEC.divide(spark, st.edges, st.interactions, st.userFeatures, p)
+    val r = LoCEC.label(spark, pre, st.trainEdges, st.testEdges.select("src", "dst"),
+      small.copy(variant = LoCEC.Xgb))
+    Seq(r.assigns, r.commFeats, r.commPreds, r.edgePreds).foreach(_.unpersist(blocking = true))
+    assert(spark.sharedState.cacheManager.isEmpty)
   }
 }
