@@ -11,6 +11,9 @@ import scala.collection.mutable
   * the *original* graph. Ego networks are small (median size 8 in the
   * paper), so the O(m²n) worst case is affordable; a patience-based early
   * stop bounds the tail for the largest ego networks.
+  *
+  * The removal loop runs on `Edges`, a CSR copy of the graph with edge-id
+  * arrays, so a betweenness pass allocates nothing and boxes nothing.
   */
 object GirvanNewman {
 
@@ -28,17 +31,17 @@ object GirvanNewman {
 
     val origDegree = Array.tabulate(n)(g.degree)
     val origEdges = g.edgeList()
-    val work = g.copy()
+    val work = new Edges(g.copy())
+    val bet = new Array[Double](m0)
 
-    var best = work.connectedComponents()
+    var best = work.components()
     var bestQ = modularity(origEdges, origDegree, m0, best)
     val patience = math.max(8, (patienceFrac * m0).toInt)
     var sinceBest = 0
 
-    while (work.numEdges > 0 && sinceBest < patience) {
-      val (a, b) = maxBetweennessEdge(work)
-      work.removeEdge(a, b)
-      val comp = work.connectedComponents()
+    while (work.live > 0 && sinceBest < patience) {
+      work.remove(work.maxBetweennessEdge(bet))
+      val comp = work.components()
       val q = modularity(origEdges, origDegree, m0, comp)
       if (q > bestQ + 1e-12) {
         bestQ = q
@@ -72,71 +75,170 @@ object GirvanNewman {
   }
 
   /** Edge betweenness of every current edge via Brandes' algorithm
-    * (unweighted). Keys are (minIndex, maxIndex). */
+    * (unweighted). Keys are (minIndex, maxIndex), in `g.edgeList()` order. */
   def edgeBetweenness(g: LocalGraph): mutable.Map[(Int, Int), Double] = {
-    val n = g.numNodes
-    val bet = mutable.LinkedHashMap.empty[(Int, Int), Double]
-    g.edgeList().foreach(e => bet(e) = 0.0)
-
-    val dist = new Array[Int](n)
-    val sigma = new Array[Double](n)
-    val delta = new Array[Double](n)
-    val preds = Array.fill(n)(mutable.ArrayBuffer.empty[Int])
-    val order = new mutable.ArrayBuffer[Int](n)
-    val queue = mutable.ArrayDeque.empty[Int]
-
-    var s = 0
-    while (s < n) {
-      java.util.Arrays.fill(dist, -1)
-      java.util.Arrays.fill(sigma, 0.0)
-      java.util.Arrays.fill(delta, 0.0)
-      var i = 0
-      while (i < n) { preds(i).clear(); i += 1 }
-      order.clear()
-
-      dist(s) = 0; sigma(s) = 1.0
-      queue.append(s)
-      while (queue.nonEmpty) {
-        val v = queue.removeHead()
-        order += v
-        g.neighbors(v).foreach { w =>
-          if (dist(w) < 0) { dist(w) = dist(v) + 1; queue.append(w) }
-          if (dist(w) == dist(v) + 1) { sigma(w) += sigma(v); preds(w) += v }
-        }
-      }
-      // dependency accumulation, reverse BFS order
-      var j = order.length - 1
-      while (j >= 0) {
-        val w = order(j)
-        preds(w).foreach { v =>
-          val c = sigma(v) / sigma(w) * (1.0 + delta(w))
-          val key = if (v < w) (v, w) else (w, v)
-          bet(key) += c
-          delta(v) += c
-        }
-        j -= 1
-      }
-      s += 1
-    }
-    // each undirected pair counted from both endpoints
-    bet.mapValuesInPlace((_, v) => v / 2.0)
-    bet
+    val e = new Edges(g)
+    val bet = new Array[Double](e.m)
+    e.betweenness(bet)
+    val out = mutable.LinkedHashMap.empty[(Int, Int), Double]
+    (0 until e.m).foreach(i => out((e.a(i), e.b(i))) = bet(i))
+    out
   }
 
-  /** The edge with the maximum betweenness; ties broken by smallest
-    * (minIndex, maxIndex) pair for determinism. */
-  private def maxBetweennessEdge(g: LocalGraph): (Int, Int) = {
-    val bet = edgeBetweenness(g)
-    var bestEdge: (Int, Int) = null
-    var bestVal = Double.NegativeInfinity
-    bet.foreach { case (e, v) =>
-      if (v > bestVal + 1e-12 ||
-          (math.abs(v - bestVal) <= 1e-12 && (bestEdge == null ||
-            e._1 < bestEdge._1 || (e._1 == bestEdge._1 && e._2 < bestEdge._2)))) {
-        bestVal = v; bestEdge = e
+  /** `g` as CSR adjacency with an id per edge and a removed-edge bitmap.
+    * Row v lists v's neighbors in `g.neighbors(v)` order, edge ids follow
+    * `g.edgeList()` (edge i is (a(i), b(i)), a < b), and removing an edge
+    * keeps the order of the rest, as `LocalGraph.removeEdge` does. So
+    * every walk here visits nodes and edges in the order the same walk
+    * over `g` would: each edge's betweenness is summed in the same order
+    * and ties between edges break the same way. */
+  private final class Edges(g: LocalGraph) {
+    val n: Int = g.numNodes
+    val m: Int = g.numEdges
+    val a = new Array[Int](m)
+    val b = new Array[Int](m)
+    private val start = new Array[Int](n + 1)
+    private val nbr = new Array[Int](2 * m)
+    private val eid = new Array[Int](2 * m)
+    private val removed = new Array[Boolean](m)
+    var live: Int = m
+
+    {
+      val id = mutable.HashMap.empty[Long, Int]
+      g.edgeList().iterator.zipWithIndex.foreach { case ((i, j), e) =>
+        a(e) = i; b(e) = j; id(i.toLong * n + j) = e
       }
+      var k = 0
+      var v = 0
+      while (v < n) {
+        start(v) = k
+        g.neighbors(v).foreach { w =>
+          nbr(k) = w
+          eid(k) = id(math.min(v, w).toLong * n + math.max(v, w))
+          k += 1
+        }
+        v += 1
+      }
+      start(n) = k
     }
-    bestEdge
+
+    // Brandes scratch; the predecessors of w fill slots start(w).. of
+    // predNode/predEdge, as w has at most its degree of them
+    private val dist = new Array[Int](n)
+    private val sigma = new Array[Double](n)
+    private val delta = new Array[Double](n)
+    private val order = new Array[Int](n)
+    private val predCount = new Array[Int](n)
+    private val predNode = new Array[Int](2 * m)
+    private val predEdge = new Array[Int](2 * m)
+
+    def remove(e: Int): Unit = { removed(e) = true; live -= 1 }
+
+    /** Betweenness of every edge into `bet`, indexed by edge id; removed
+      * edges get 0. */
+    def betweenness(bet: Array[Double]): Unit = {
+      java.util.Arrays.fill(bet, 0.0)
+      var s = 0
+      while (s < n) {
+        java.util.Arrays.fill(dist, -1)
+        java.util.Arrays.fill(sigma, 0.0)
+        java.util.Arrays.fill(delta, 0.0)
+        java.util.Arrays.fill(predCount, 0)
+
+        // BFS; `order` is both the queue and the visit order
+        dist(s) = 0; sigma(s) = 1.0
+        order(0) = s
+        var head = 0
+        var tail = 1
+        while (head < tail) {
+          val v = order(head)
+          head += 1
+          var k = start(v)
+          while (k < start(v + 1)) {
+            val e = eid(k)
+            if (!removed(e)) {
+              val w = nbr(k)
+              if (dist(w) < 0) { dist(w) = dist(v) + 1; order(tail) = w; tail += 1 }
+              if (dist(w) == dist(v) + 1) {
+                sigma(w) += sigma(v)
+                val p = start(w) + predCount(w)
+                predNode(p) = v; predEdge(p) = e
+                predCount(w) += 1
+              }
+            }
+            k += 1
+          }
+        }
+        // dependency accumulation, reverse BFS order
+        var j = tail - 1
+        while (j >= 0) {
+          val w = order(j)
+          var p = start(w)
+          while (p < start(w) + predCount(w)) {
+            val v = predNode(p)
+            val c = sigma(v) / sigma(w) * (1.0 + delta(w))
+            bet(predEdge(p)) += c
+            delta(v) += c
+            p += 1
+          }
+          j -= 1
+        }
+        s += 1
+      }
+      // each undirected pair counted from both endpoints
+      var e = 0
+      while (e < m) { bet(e) = bet(e) / 2.0; e += 1 }
+    }
+
+    /** The live edge with the maximum betweenness; ties broken by smallest
+      * (a, b) pair for determinism. `bet` is scratch of length m. */
+    def maxBetweennessEdge(bet: Array[Double]): Int = {
+      betweenness(bet)
+      var best = -1
+      var bestVal = Double.NegativeInfinity
+      var e = 0
+      while (e < m) {
+        if (!removed(e)) {
+          val v = bet(e)
+          if (v > bestVal + 1e-12 ||
+              (math.abs(v - bestVal) <= 1e-12 && (best < 0 ||
+                a(e) < a(best) || (a(e) == a(best) && b(e) < b(best))))) {
+            bestVal = v; best = e
+          }
+        }
+        e += 1
+      }
+      best
+    }
+
+    /** Connected components over the live edges; component ids are
+      * numbered 0.. in order of the smallest node index they contain. */
+    def components(): Array[Int] = {
+      val comp = Array.fill(n)(-1)
+      val stack = new Array[Int](n)
+      var next = 0
+      var i = 0
+      while (i < n) {
+        if (comp(i) < 0) {
+          comp(i) = next
+          stack(0) = i
+          var top = 1
+          while (top > 0) {
+            top -= 1
+            val u = stack(top)
+            var k = start(u)
+            while (k < start(u + 1)) {
+              val v = nbr(k)
+              if (!removed(eid(k)) && comp(v) < 0) { comp(v) = next; stack(top) = v; top += 1 }
+              k += 1
+            }
+          }
+          next += 1
+        }
+        i += 1
+      }
+      comp
+    }
   }
 
   /** Renumber community ids to be dense, ordered by first occurrence. */

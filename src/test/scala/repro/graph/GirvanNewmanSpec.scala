@@ -168,4 +168,59 @@ class GirvanNewmanSpec extends AnyFunSuite {
     val blockB = (n / 2 until n).map(comm).groupBy(identity).values.map(_.size).max
     assert(blockA >= n / 2 - 2 && blockB >= n / 2 - 2)
   }
+
+  /** Graphs on which betweenness ties are common (cycles, grids, complete
+    * bipartite graphs, chained cliques) or absent (sparse and planted
+    * random graphs), each with isolated nodes sometimes and with its edges
+    * added in a shuffled order, so adjacency order is not sorted. */
+  private def oracleGraphs: Seq[LocalGraph] = {
+    val rng = new Random(11)
+    def shuffled(n: Int, edges: Seq[(Int, Int)]): LocalGraph = {
+      val ids = rng.shuffle((1L to 1000L).toVector).take(n)
+      val es = rng.shuffle(edges).map { case (i, j) =>
+        if (rng.nextBoolean()) (ids(i), ids(j)) else (ids(j), ids(i)) }
+      LocalGraph(ids, es)
+    }
+    def keep(n: Int, edges: Seq[(Int, Int)]) = edges.filter { case (i, j) => i < n && j < n }
+    val families = (3 to 9).flatMap { k =>
+      val cycle = (0 until k).map(i => (i, (i + 1) % k))
+      val grid = for { r <- 0 until k; c <- 0 until k; (dr, dc) <- Seq((0, 1), (1, 0))
+                       if r + dr < k && c + dc < k } yield (r * k + c, (r + dr) * k + c + dc)
+      val bipartite = for { i <- 0 until k; j <- 0 until k } yield (i, k + j)
+      val cliques = for { c <- 0 until 3; i <- 0 until k; j <- i + 1 until k }
+        yield (c * k + i, c * k + j)
+      Seq((k, cycle), (k * k, grid), (2 * k, bipartite),
+          (3 * k, cliques ++ Seq((0, k), (k + 1, 2 * k), (2 * k + 2, 1))))
+    }
+    val random = (1 to 40).map { t =>
+      val n = 5 + rng.nextInt(50)
+      val p = if (t % 2 == 0) 0.1 + 0.4 * rng.nextDouble() else 0.0
+      val blocks = 1 + rng.nextInt(4)
+      val edges = for { i <- 0 until n; j <- i + 1 until n
+                        q = if (p > 0) p else if (i % blocks == j % blocks) 0.6 else 0.04
+                        if rng.nextDouble() < q } yield (i, j)
+      (n + rng.nextInt(3), edges)
+    }
+    (families ++ random).map { case (n, es) => shuffled(n, keep(n, es)) }
+  }
+
+  test("detect and edgeBetweenness equal the LinkedHashSet oracle bit for bit") {
+    val graphs = oracleGraphs
+    assert(graphs.exists(g => g.numNodes > 40 && g.numEdges > 100))
+    var tied = 0
+    graphs.foreach { g =>
+      val bet = GirvanNewman.edgeBetweenness(g).toSeq
+      val want = GirvanNewmanOracle.edgeBetweenness(g).toSeq
+      assert(bet.map(_._1) == want.map(_._1))
+      assert(bet.map(e => java.lang.Double.doubleToRawLongBits(e._2)) ==
+             want.map(e => java.lang.Double.doubleToRawLongBits(e._2)), g.nodeIds.toSeq)
+      if (want.nonEmpty && want.count(e => math.abs(e._2 - want.map(_._2).max) <= 1e-12) > 1)
+        tied += 1
+      Seq(0.0, 0.1, 0.5, 1e9).foreach { pf =>
+        assert(GirvanNewman.detect(g, pf).toSeq == GirvanNewmanOracle.detect(g, pf).toSeq,
+          (g.nodeIds.toSeq, pf))
+      }
+    }
+    assert(tied > 10, "too few graphs with tied maximum betweenness")
+  }
 }
