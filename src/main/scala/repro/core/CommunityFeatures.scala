@@ -1,7 +1,8 @@
 package repro.core
 
+import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
-import org.apache.spark.sql.functions._
+import repro.wechat.RelationType
 import scala.collection.mutable
 
 /** The Phase II representation of one local community: the full member /
@@ -116,42 +117,58 @@ object CommunityFeatures {
 
   /** Ground-truth community labels: "the majority type of friends with
     * ground-truth relationship classes" (Sec. V-C) — i.e. the majority
-    * label of the labeled *ego–member* edges; ties by label priority.
-    * @param labeledEdges (src, dst, label), canonical src < dst. */
+    * label of the labeled *ego–member* edges; ties by label priority, then
+    * label order. Communities without a labeled ego–member edge get no row.
+    * The labeled edges are collected once and broadcast; the vote is one
+    * narrow pass over `commFeats`. The broadcast lives as long as the
+    * returned frame is referenced.
+    * @param labeledEdges (src, dst, label), canonical src < dst; a null
+    *                     label fails with `IllegalArgumentException`. */
   def labels(spark: SparkSession, commFeats: Dataset[CommFeat],
              labeledEdges: DataFrame): DataFrame = {
     import spark.implicits._
-    val exploded = commFeats.flatMap { cf =>
-      cf.members.map { m =>
-        val (s, d) = if (cf.ego < m) (cf.ego, m) else (m, cf.ego)
-        (cf.ego, cf.comm, s, d)
-      }
-    }.toDF("ego", "comm", "src", "dst")
-
-    val prioUdf = udf((t: String) => repro.wechat.RelationType.priority(t))
-    exploded
-      .join(labeledEdges.select("src", "dst", "label"), Seq("src", "dst"))
-      .groupBy("ego", "comm", "label").agg(count(lit(1)) as "votes")
-      .withColumn("rank", row_number().over(
-        org.apache.spark.sql.expressions.Window
-          .partitionBy("ego", "comm")
-          .orderBy(col("votes").desc, prioUdf($"label").asc, $"label".asc)))
-      .where($"rank" === 1)
-      .select("ego", "comm", "label")
+    val bc = labelsByPair(spark, labeledEdges)
+    commFeats.flatMap(cf => vote(cf, bc.value).map(l => (cf.ego, cf.comm, l)))
+      .toDF("ego", "comm", "label")
   }
 
   /** Up to `limit` (community, label) training samples: the communities
     * `labels` can label from `labeledEdges`, taken in (ego, comm) order so
-    * the sub-sample is deterministic. */
+    * the sub-sample is deterministic. Spark plans the ordered take as a
+    * top-`limit` per task with no shuffle. */
   def labeledSamples(spark: SparkSession, commFeats: Dataset[CommFeat],
                      labeledEdges: DataFrame, limit: Int): Seq[(CommFeat, String)] = {
     import spark.implicits._
-    val labeled = labels(spark, commFeats, labeledEdges).as[LabeledComm]
-    commFeats
-      .joinWith(labeled, commFeats("ego") === labeled("ego") && commFeats("comm") === labeled("comm"))
-      .orderBy(col("_1.ego"), col("_1.comm"))
-      .take(limit)
-      .map { case (cf, lc) => (cf, lc.label) }
-      .toSeq
+    val bc = labelsByPair(spark, labeledEdges)
+    try {
+      commFeats.flatMap(cf => vote(cf, bc.value).map(l => (cf, l)))
+        .orderBy($"_1.ego", $"_1.comm")
+        .take(limit)
+        .toSeq
+    } finally bc.destroy()
+  }
+
+  /** Every label of every labeled pair, broadcast from one collect. A pair
+    * listed twice keeps both labels, so it votes twice. */
+  private def labelsByPair(spark: SparkSession, labeledEdges: DataFrame)
+      : Broadcast[Map[(Long, Long), Array[String]]] = {
+    import spark.implicits._
+    val rows = labeledEdges.select("src", "dst", "label").as[(Long, Long, String)].collect()
+    val nulls = rows.count(_._3 == null)
+    require(nulls == 0, s"$nulls labeled edges have a null label")
+    spark.sparkContext.broadcast(rows.groupMap(r => (r._1, r._2))(_._3))
+  }
+
+  /** The Sec. V-C vote of one community over its ego–member pairs: most
+    * votes, then `RelationType.priority`, then label order; `None` when no
+    * pair is labeled. */
+  private def vote(cf: CommFeat, byPair: Map[(Long, Long), Array[String]]): Option[String] = {
+    val votes = mutable.HashMap.empty[String, Int]
+    cf.members.foreach { m =>
+      byPair.get(if (cf.ego < m) (cf.ego, m) else (m, cf.ego))
+        .foreach(_.foreach(l => votes(l) = votes.getOrElse(l, 0) + 1))
+    }
+    if (votes.isEmpty) None
+    else Some(votes.minBy { case (l, n) => (-n, RelationType.priority(l), l) }._1)
   }
 }

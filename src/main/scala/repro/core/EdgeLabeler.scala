@@ -83,7 +83,7 @@ object EdgeLabeler {
   }
 
   /** Train the Phase III LR on labeled edges.
-    * @param labeledFeats (src, dst, feats, label) — collected to the driver;
+    * @param labeledFeats (feats, label) — collected to the driver;
     *        the labeled set is small (0.02 % of edges in the paper). */
   def train(labeledFeats: Seq[(Array[Double], String)],
             params: LogisticRegression.Params = LogisticRegression.Params()): LogisticRegression.Model =

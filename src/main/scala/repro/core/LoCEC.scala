@@ -47,11 +47,12 @@ object LoCEC {
     (r, (System.nanoTime() - t0) / 1e9)
   }
 
-  /** Training labels must be the major types LoCEC classifies. */
-  private def requireMajor(what: String, labels: Seq[String]): Unit = {
+  /** Training labels must be the major types LoCEC classifies; a null
+    * label is named as `null`. */
+  private[core] def requireMajor(what: String, labels: Seq[String]): Unit = {
     val bad = labels.filterNot(RelationType.Major.contains)
     require(bad.isEmpty, s"${bad.size} $what have labels outside RelationType.Major " +
-      s"(${RelationType.Major.mkString(", ")}): ${bad.distinct.sorted.mkString(", ")}")
+      s"(${RelationType.Major.mkString(", ")}): ${bad.map(String.valueOf).distinct.sorted.mkString(", ")}")
   }
 
   /** Run the full pipeline: `label(divide(...))`.
@@ -106,8 +107,8 @@ object LoCEC {
     * partitioning, and its intermediate is released once `edgePreds` is
     * materialized.
     *
-    * @param trainEdges (src, dst, label) observed labels; a label outside
-    *                   `RelationType.Major` fails with
+    * @param trainEdges (src, dst, label) observed labels; a null label or
+    *                   a label outside `RelationType.Major` fails with
     *                   `IllegalArgumentException`
     * @param target     (src, dst) edges to label
     */

@@ -192,4 +192,70 @@ class CommunityFeaturesSpec extends SparkSpec {
       Seq.empty[(Long, Long, String)].toDF("src", "dst", "label"))
     assert(labels.count() == 0)
   }
+
+  private def bits(xs: Array[Double]): Seq[Long] = xs.toSeq.map(java.lang.Double.doubleToRawLongBits)
+
+  /** The labeled sets the broadcast vote is compared on against the
+    * join-chain oracle, on the 300-user setup's communities. */
+  private lazy val voteCases = {
+    val st = repro.exp.Experiments.setup(spark, numUsers = 300, seed = 7)
+    val pre = LoCEC.divide(spark, st.edges, st.interactions, st.userFeatures, LoCEC.Params())
+    val major = RelationType.Major
+    val train = st.trainEdges.as[(Long, Long, String)].collect().toSeq
+    // every edge labeled, so many communities tie on votes across classes
+    val all = st.edges.select("src", "dst").as[(Long, Long)].collect().toSeq
+      .map { case (s, d) => (s, d, major(((s + d) % 3).toInt)) }
+    val rot = (l: String) => major((major.indexOf(l) + 1) % major.length)
+    val cases = Seq(
+      "trainEdges" -> train,
+      "same label listed twice" -> (all ++ all.filter(_._1 % 4 == 0)),
+      "conflicting labels for one pair" -> (all ++ all.filter(_._2 % 3 == 0).map(e => e.copy(_3 = rot(e._3)))),
+      "pairs that are not edges" -> (train ++ train.flatMap { case (s, d, l) =>
+        Seq((d, s, l), (s, d + 100000L, rot(l)), (s + 100000L, d + 100000L, l)) }),
+      "every edge labeled" -> all,
+      "empty" -> Seq.empty[(Long, Long, String)])
+    (pre.commFeats, cases.map { case (name, rows) => name -> (rows, rows.toDF("src", "dst", "label")) })
+  }
+
+  test("labels and labeledSamples equal the join-chain oracle on every labeled set") {
+    val (commFeats, cases) = voteCases
+    cases.foreach { case (name, (_, labeled)) =>
+      val got = CommunityFeatures.labels(spark, commFeats, labeled).as[(Long, Int, String)].collect()
+      val exp = CommunityFeaturesOracle.labels(spark, commFeats, labeled).as[(Long, Int, String)].collect()
+      assert(got.sorted.toSeq == exp.sorted.toSeq, name)
+      assert(name != "empty" || got.isEmpty)
+      Seq(1, 7, Int.MaxValue).foreach { limit =>
+        val g = CommunityFeatures.labeledSamples(spark, commFeats, labeled, limit)
+        val e = CommunityFeaturesOracle.labeledSamples(spark, commFeats, labeled, limit)
+        assert(g.map { case (cf, l) => (cf.ego, cf.comm, l) } == e.map { case (cf, l) => (cf.ego, cf.comm, l) },
+          (name, limit))
+        g.zip(e).foreach { case ((x, _), (y, _)) =>
+          assert(bits(x.flat) == bits(y.flat) && bits(x.tightness) == bits(y.tightness),
+            (name, limit, x.ego, x.comm))
+        }
+        assert(g.length == math.min(limit, got.length), (name, limit))
+      }
+    }
+  }
+
+  test("the oracle cases include vote ties and repeats that change the winner") {
+    val (commFeats, cases) = voteCases
+    val byName = cases.toMap
+    val comms = commFeats.collect().toSeq
+    /** Votes per label of every community. */
+    def tallies(name: String): Seq[Map[String, Int]] = {
+      val byPair = byName(name)._1.groupMap(r => (r._1, r._2))(_._3)
+      comms.map { cf =>
+        cf.members.toSeq.flatMap(m => byPair.getOrElse((math.min(cf.ego, m), math.max(cf.ego, m)), Nil))
+          .groupBy(identity).view.mapValues(_.size).toMap
+      }
+    }
+    def tied(t: Map[String, Int]) = t.nonEmpty && t.values.count(_ == t.values.max) > 1
+    def winner(t: Map[String, Int]) = t.minByOption { case (l, n) => (-n, RelationType.priority(l)) }.map(_._1)
+    val once = tallies("every edge labeled")
+    assert(once.count(tied) > 10)
+    Seq("same label listed twice", "conflicting labels for one pair").foreach { name =>
+      assert(once.zip(tallies(name)).exists { case (a, b) => winner(a) != winner(b) }, name)
+    }
+  }
 }

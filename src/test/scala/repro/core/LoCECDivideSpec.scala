@@ -70,7 +70,7 @@ class LoCECDivideSpec extends SparkSpec {
     }
   }
 
-  test("divide is identical under 1 and 8 shuffle partitions") {
+  test("divide is identical under 1, 8 and 64 shuffle partitions") {
     val key = "spark.sql.shuffle.partitions"
     val saved = spark.conf.get(key)
     def divideWith(partitions: Int): (Seq[EgoAssign], Seq[CommFeat]) = {
@@ -85,15 +85,17 @@ class LoCECDivideSpec extends SparkSpec {
     }
     try {
       val (a1, c1) = divideWith(1)
-      val (a8, c8) = divideWith(8)
-      assert(a1.nonEmpty && a1 == a8)
-      assert(c1.length == c8.length)
-      c1.zip(c8).foreach { case (x, y) =>
-        val id = (x.ego, x.comm)
-        assert((x.ego, x.comm, x.size, x.rows, x.cols) == (y.ego, y.comm, y.size, y.rows, y.cols), id)
-        assert(x.members.toSeq == y.members.toSeq, id)
-        assert(bits(x.tightness) == bits(y.tightness), id)
-        assert(bits(x.flat) == bits(y.flat), id)
+      Seq(8, 64).foreach { n =>
+        val (an, cn) = divideWith(n)
+        assert(a1.nonEmpty && a1 == an, n)
+        assert(c1.length == cn.length, n)
+        c1.zip(cn).foreach { case (x, y) =>
+          val id = (n, x.ego, x.comm)
+          assert((x.ego, x.comm, x.size, x.rows, x.cols) == (y.ego, y.comm, y.size, y.rows, y.cols), id)
+          assert(x.members.toSeq == y.members.toSeq, id)
+          assert(bits(x.tightness) == bits(y.tightness), id)
+          assert(bits(x.flat) == bits(y.flat), id)
+        }
       }
     } finally spark.conf.set(key, saved)
   }
@@ -136,6 +138,26 @@ class LoCECDivideSpec extends SparkSpec {
     assert(e.getMessage.matches(
       "(?s).*\\d+ labeled (communities|edges) have labels outside RelationType.Major.*: other"),
       e.getMessage)
+  }
+
+  test("null training labels fail with their count before any training") {
+    val nulled = st.trainEdges.withColumn("label",
+      when($"src" % 3 === 0, lit(null).cast("string")).otherwise($"label"))
+    val expected = st.trainEdges.where($"src" % 3 === 0).count()
+    assert(expected > 1)
+    val e = intercept[IllegalArgumentException] {
+      LoCEC.label(spark, pre, nulled, st.testEdges.select("src", "dst"),
+        small.copy(variant = LoCEC.Xgb))
+    }
+    assert(e.getMessage.contains(s"$expected labeled edges have a null label"), e.getMessage)
+  }
+
+  test("the RelationType.Major check names a null label beside other bad labels") {
+    val e = intercept[IllegalArgumentException] {
+      LoCEC.requireMajor("labeled edges", Seq(RelationType.Family, null, RelationType.Other, null))
+    }
+    assert(e.getMessage.endsWith("3 labeled edges have labels outside RelationType.Major " +
+      "(colleague, family, schoolmate): null, other"), e.getMessage)
   }
 
   test("single-class training labels give every target edge that class") {
