@@ -84,7 +84,8 @@ object CommunityFeatures {
   /** Distributed Phase II feature computation: join the inner edges with the
     * interaction table, cogroup with the Phase I assignments by ego, and
     * build every community's matrix in parallel. Fails on an interaction
-    * vector of an inner edge whose width is not `interDims`. */
+    * vector of an inner edge whose width is not `interDims`, and on an
+    * inner edge with more than one interaction row. */
   def compute(spark: SparkSession, assigns: Dataset[EgoAssign],
               innerEdges: DataFrame, interactions: DataFrame,
               userFeatures: collection.Map[Long, Array[Double]],
@@ -106,7 +107,8 @@ object CommunityFeatures {
           if (inter != null) {
             require(inter.length == interDims, s"interaction vector of pair ($a, $b) has width " +
               s"${inter.length}, expected interDims = $interDims")
-            pairInter((a, b)) = inter.toArray
+            require(pairInter.put((a, b), inter.toArray).isEmpty,
+              s"pair ($a, $b) has more than one interaction row")
           }
         }
         val lookup = (u: Long) => bcFeat.value.getOrElse(u, zeros)

@@ -3,10 +3,9 @@ package repro.core
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 import repro.graph.{GirvanNewman, LocalGraph}
 
-/** One friend's assignment inside one ego network: the local community id,
-  * its size, and the tightness value of Eq. 3. */
-final case class EgoAssign(ego: Long, friend: Long, comm: Int,
-                           tightness: Double, commSize: Int)
+/** One friend's assignment inside one ego network: the local community id
+  * and the tightness value of Eq. 3. */
+final case class EgoAssign(ego: Long, friend: Long, comm: Int, tightness: Double)
 
 /** Phase I: local community detection — Girvan–Newman inside every ego
   * network, run in parallel via a cogroup keyed by ego ("each node is
@@ -35,7 +34,7 @@ object LocalCommunities {
     g.nodeIds.indices.map { i =>
       val c = comm(i)
       val inC = g.neighbors(i).count(j => comm(j) == c)
-      EgoAssign(ego, g.nodeIds(i), c, tightness(inC, g.degree(i), sizes(c)), sizes(c))
+      EgoAssign(ego, g.nodeIds(i), c, tightness(inC, g.degree(i), sizes(c)))
     }
   }
 

@@ -1,7 +1,5 @@
 package repro.graph
 
-import scala.collection.mutable
-
 /** Girvan–Newman community detection [Girvan & Newman, PNAS 2002], as used
   * by LoCEC Phase I to detect local communities inside each ego network.
   *
@@ -12,13 +10,14 @@ import scala.collection.mutable
   * paper), so the O(m²n) worst case is affordable; a patience-based early
   * stop bounds the tail for the largest ego networks.
   *
-  * The removal loop runs on `Edges`, a CSR copy of the graph with edge-id
-  * arrays, so a betweenness pass allocates nothing and boxes nothing.
+  * The removal loop runs on `LocalGraph`'s CSR arrays with a removed-edge
+  * bitmap, so a betweenness pass allocates nothing and boxes nothing.
   */
 object GirvanNewman {
 
   /** Detect communities; returns a community id (0-based, dense) per node,
-    * aligned with `g.nodeIds`. Isolated nodes become singleton communities.
+    * aligned with `g.nodeIds`, numbered in order of the smallest node index
+    * each community holds. Isolated nodes become singleton communities.
     *
     * @param patienceFrac stop after `max(8, patienceFrac * m)` consecutive
     *                     edge removals without a modularity improvement.
@@ -29,20 +28,18 @@ object GirvanNewman {
     val m0 = g.numEdges
     if (m0 == 0) return Array.tabulate(n)(identity) // all singletons
 
-    val origDegree = Array.tabulate(n)(g.degree)
-    val origEdges = g.edgeList()
-    val work = new Edges(g.copy())
+    val work = new Work(g)
     val bet = new Array[Double](m0)
 
     var best = work.components()
-    var bestQ = modularity(origEdges, origDegree, m0, best)
+    var bestQ = modularity(g, best)
     val patience = math.max(8, (patienceFrac * m0).toInt)
     var sinceBest = 0
 
     while (work.live > 0 && sinceBest < patience) {
       work.remove(work.maxBetweennessEdge(bet))
       val comp = work.components()
-      val q = modularity(origEdges, origDegree, m0, comp)
+      val q = modularity(g, comp)
       if (q > bestQ + 1e-12) {
         bestQ = q
         best = comp
@@ -51,20 +48,24 @@ object GirvanNewman {
         sinceBest += 1
       }
     }
-    renumber(best)
+    best
   }
 
-  /** Newman modularity Q = Σ_c [ e_c/m − (d_c/2m)² ] of a partition,
-    * evaluated against the original edge set and degrees. */
-  def modularity(origEdges: IndexedSeq[(Int, Int)], origDegree: Array[Int],
-                 m: Int, comm: Array[Int]): Double = {
+  /** Newman modularity Q = Σ_c [ e_c/m − (d_c/2m)² ] of a partition of `g`. */
+  def modularity(g: LocalGraph, comm: Array[Int]): Double = {
+    val m = g.numEdges
     if (m == 0) return 0.0
     val nComm = comm.max + 1
     val inside = new Array[Double](nComm)
     val degSum = new Array[Double](nComm)
-    origEdges.foreach { case (a, b) => if (comm(a) == comm(b)) inside(comm(a)) += 1.0 }
+    var e = 0
+    while (e < m) {
+      val c = comm(g.lo(e))
+      if (c == comm(g.hi(e))) inside(c) += 1.0
+      e += 1
+    }
     var i = 0
-    while (i < comm.length) { degSum(comm(i)) += origDegree(i); i += 1 }
+    while (i < comm.length) { degSum(comm(i)) += g.degree(i); i += 1 }
     var q = 0.0
     var c = 0
     while (c < nComm) {
@@ -74,53 +75,24 @@ object GirvanNewman {
     q
   }
 
-  /** Edge betweenness of every current edge via Brandes' algorithm
-    * (unweighted). Keys are (minIndex, maxIndex), in `g.edgeList()` order. */
-  def edgeBetweenness(g: LocalGraph): mutable.Map[(Int, Int), Double] = {
-    val e = new Edges(g)
-    val bet = new Array[Double](e.m)
-    e.betweenness(bet)
-    val out = mutable.LinkedHashMap.empty[(Int, Int), Double]
-    (0 until e.m).foreach(i => out((e.a(i), e.b(i))) = bet(i))
-    out
+  /** Edge betweenness of every edge of `g` via Brandes' algorithm
+    * (unweighted), indexed by edge id. */
+  private[graph] def edgeBetweenness(g: LocalGraph): Array[Double] = {
+    val bet = new Array[Double](g.numEdges)
+    new Work(g).betweenness(bet)
+    bet
   }
 
-  /** `g` as CSR adjacency with an id per edge and a removed-edge bitmap.
-    * Row v lists v's neighbors in `g.neighbors(v)` order, edge ids follow
-    * `g.edgeList()` (edge i is (a(i), b(i)), a < b), and removing an edge
-    * keeps the order of the rest, as `LocalGraph.removeEdge` does. So
-    * every walk here visits nodes and edges in the order the same walk
-    * over `g` would: each edge's betweenness is summed in the same order
-    * and ties between edges break the same way. */
-  private final class Edges(g: LocalGraph) {
-    val n: Int = g.numNodes
-    val m: Int = g.numEdges
-    val a = new Array[Int](m)
-    val b = new Array[Int](m)
-    private val start = new Array[Int](n + 1)
-    private val nbr = new Array[Int](2 * m)
-    private val eid = new Array[Int](2 * m)
+  /** The state of one GN run over `g`: a removed-edge bitmap and Brandes
+    * scratch allocated once. Every walk visits rows in ascending order. */
+  private final class Work(g: LocalGraph) {
+    private val n = g.numNodes
+    private val m = g.numEdges
+    private val start = g.start
+    private val nbr = g.nbr
+    private val eid = g.eid
     private val removed = new Array[Boolean](m)
     var live: Int = m
-
-    {
-      val id = mutable.HashMap.empty[Long, Int]
-      g.edgeList().iterator.zipWithIndex.foreach { case ((i, j), e) =>
-        a(e) = i; b(e) = j; id(i.toLong * n + j) = e
-      }
-      var k = 0
-      var v = 0
-      while (v < n) {
-        start(v) = k
-        g.neighbors(v).foreach { w =>
-          nbr(k) = w
-          eid(k) = id(math.min(v, w).toLong * n + math.max(v, w))
-          k += 1
-        }
-        v += 1
-      }
-      start(n) = k
-    }
 
     // Brandes scratch; the predecessors of w fill slots start(w).. of
     // predNode/predEdge, as w has at most its degree of them
@@ -190,22 +162,15 @@ object GirvanNewman {
       while (e < m) { bet(e) = bet(e) / 2.0; e += 1 }
     }
 
-    /** The live edge with the maximum betweenness; ties broken by smallest
-      * (a, b) pair for determinism. `bet` is scratch of length m. */
+    /** The live edge with the maximum betweenness; within 1e-12 of it the
+      * smallest edge id, i.e. the smallest (lo, hi) pair, wins. `bet` is
+      * scratch of length m. */
     def maxBetweennessEdge(bet: Array[Double]): Int = {
       betweenness(bet)
       var best = -1
-      var bestVal = Double.NegativeInfinity
       var e = 0
       while (e < m) {
-        if (!removed(e)) {
-          val v = bet(e)
-          if (v > bestVal + 1e-12 ||
-              (math.abs(v - bestVal) <= 1e-12 && (best < 0 ||
-                a(e) < a(best) || (a(e) == a(best) && b(e) < b(best))))) {
-            bestVal = v; best = e
-          }
-        }
+        if (!removed(e) && (best < 0 || bet(e) > bet(best) + 1e-12)) best = e
         e += 1
       }
       best
@@ -239,11 +204,5 @@ object GirvanNewman {
       }
       comp
     }
-  }
-
-  /** Renumber community ids to be dense, ordered by first occurrence. */
-  private def renumber(comm: Array[Int]): Array[Int] = {
-    val map = mutable.LinkedHashMap.empty[Int, Int]
-    comm.map { c => map.getOrElseUpdate(c, map.size) }
   }
 }

@@ -1,114 +1,65 @@
 package repro.graph
 
-import scala.collection.mutable
-
-/** Small in-memory undirected graph used for per-ego-network computations.
+/** Small immutable undirected graph of one ego network, in CSR form.
   *
-  * Nodes carry external `Long` ids but are addressed internally by dense
-  * `Int` indices for speed; ego networks have at most a few hundred nodes
-  * (the ego's degree), so everything here is O(small).
+  * Nodes carry external `Long` ids, sorted and distinct, and are addressed
+  * by their dense `Int` index in `nodeIds`; ego networks have at most a few
+  * hundred nodes (the ego's degree), so everything here is O(small).
   *
-  * The edge set is mutable so Girvan–Newman can remove edges; the original
-  * degree/edge counts are retained by the caller where needed (e.g. for
-  * modularity on the original graph).
+  * Edge `e` joins `lo(e) < hi(e)`, and edge ids follow `(lo, hi)` order.
+  * Row `v` of the adjacency, `start(v) until start(v + 1)`, lists v's
+  * neighbors `nbr` in ascending order, each with the id `eid` of the edge
+  * to it. So the graph, and everything computed from it, depends only on
+  * the node set and the edge set, not on the order they were given in.
   */
-final class LocalGraph(val nodeIds: Array[Long]) extends Serializable {
-
-  /** index of each external node id. */
-  val index: Map[Long, Int] = nodeIds.zipWithIndex.toMap
-
-  /** adjacency sets over internal indices; LinkedHashSet keeps insertion
-    * order so iteration (and hence the whole pipeline) is deterministic. */
-  val adj: Array[mutable.LinkedHashSet[Int]] =
-    Array.fill(nodeIds.length)(mutable.LinkedHashSet.empty[Int])
-
-  private var edgeCount: Int = 0
+final class LocalGraph private (val nodeIds: Array[Long],
+                                private[graph] val lo: Array[Int],
+                                private[graph] val hi: Array[Int],
+                                private[graph] val start: Array[Int],
+                                private[graph] val nbr: Array[Int],
+                                private[graph] val eid: Array[Int]) {
 
   def numNodes: Int = nodeIds.length
-  def numEdges: Int = edgeCount
+  def numEdges: Int = lo.length
 
-  def degree(i: Int): Int = adj(i).size
-  def neighbors(i: Int): Iterable[Int] = adj(i)
-  def hasEdge(a: Int, b: Int): Boolean = adj(a).contains(b)
-
-  /** Add an undirected edge by internal indices; self-loops and duplicates
-    * are ignored. */
-  def addEdge(a: Int, b: Int): Unit = {
-    if (a != b && !adj(a).contains(b)) {
-      adj(a) += b; adj(b) += a; edgeCount += 1
-    }
-  }
-
-  /** Add an undirected edge by external node ids (both must exist). */
-  def addEdgeByIds(u: Long, v: Long): Unit = addEdge(index(u), index(v))
-
-  /** Remove an undirected edge; no-op if absent. */
-  def removeEdge(a: Int, b: Int): Unit = {
-    if (adj(a).contains(b)) {
-      adj(a) -= b; adj(b) -= a; edgeCount -= 1
-    }
-  }
-
-  /** Deep copy (node ids shared, adjacency copied). */
-  def copy(): LocalGraph = {
-    val g = new LocalGraph(nodeIds)
-    var i = 0
-    while (i < numNodes) {
-      adj(i).foreach { j => if (i < j) g.addEdge(i, j) }
-      i += 1
-    }
-    g
-  }
-
-  /** Connected components; returns the component id of every node, with ids
-    * numbered 0.. in order of the smallest node index they contain. */
-  def connectedComponents(): Array[Int] = {
-    val comp = Array.fill(numNodes)(-1)
-    var next = 0
-    val stack = mutable.ArrayDeque.empty[Int]
-    var i = 0
-    while (i < numNodes) {
-      if (comp(i) < 0) {
-        comp(i) = next
-        stack.append(i)
-        while (stack.nonEmpty) {
-          val u = stack.removeLast()
-          adj(u).foreach { v => if (comp(v) < 0) { comp(v) = next; stack.append(v) } }
-        }
-        next += 1
-      }
-      i += 1
-    }
-    comp
-  }
-
-  /** All current edges as (minIndex, maxIndex) pairs, deterministic order. */
-  def edgeList(): IndexedSeq[(Int, Int)] = {
-    val buf = IndexedSeq.newBuilder[(Int, Int)]
-    var i = 0
-    while (i < numNodes) {
-      adj(i).foreach { j => if (i < j) buf += ((i, j)) }
-      i += 1
-    }
-    buf.result()
-  }
+  def degree(i: Int): Int = start(i + 1) - start(i)
+  def neighbors(i: Int): Iterator[Int] = Iterator.range(start(i), start(i + 1)).map(nbr)
 }
 
 object LocalGraph {
 
   /** Build a graph over `nodes` with the given undirected edges (by id).
-    * Edges whose endpoints are not both in `nodes` are dropped — callers
-    * pass ego-network member lists plus inner edges, and the inner-edge
-    * list can mention only members. */
+    * Self-loops, duplicate and reversed pairs, and edges whose endpoints
+    * are not both in `nodes` are dropped — callers pass ego-network member
+    * lists plus inner edges, and the inner-edge list can mention only
+    * members. */
   def apply(nodes: Iterable[Long], edges: Iterable[(Long, Long)]): LocalGraph = {
     val ids = nodes.toArray.distinct.sorted
-    val g = new LocalGraph(ids)
+    val n = ids.length
+    // edge (i, j), i < j, as the key i * n + j: sorting keys sorts pairs
+    val keys = Array.newBuilder[Long]
     edges.foreach { case (u, v) =>
-      (g.index.get(u), g.index.get(v)) match {
-        case (Some(a), Some(b)) => g.addEdge(a, b)
-        case _                  => ()
-      }
+      val i = java.util.Arrays.binarySearch(ids, u)
+      val j = java.util.Arrays.binarySearch(ids, v)
+      if (i >= 0 && j >= 0 && i != j) keys += math.min(i, j).toLong * n + math.max(i, j)
     }
-    g
+    val sorted = keys.result().sorted.distinct
+    val m = sorted.length
+    val lo = Array.tabulate(m)(e => (sorted(e) / n).toInt)
+    val hi = Array.tabulate(m)(e => (sorted(e) % n).toInt)
+
+    val start = new Array[Int](n + 1)
+    for (e <- 0 until m) { start(lo(e) + 1) += 1; start(hi(e) + 1) += 1 }
+    for (v <- 0 until n) start(v + 1) += start(v)
+    // in edge order, row v gets its smaller neighbors (edges (u, v), u < v)
+    // before its larger ones (edges (v, w)), each ascending
+    val fill = start.clone()
+    val nbr = new Array[Int](2 * m)
+    val eid = new Array[Int](2 * m)
+    for (e <- 0 until m) {
+      nbr(fill(lo(e))) = hi(e); eid(fill(lo(e))) = e; fill(lo(e)) += 1
+      nbr(fill(hi(e))) = lo(e); eid(fill(hi(e))) = e; fill(hi(e)) += 1
+    }
+    new LocalGraph(ids, lo, hi, start, nbr, eid)
   }
 }

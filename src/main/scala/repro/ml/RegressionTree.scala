@@ -45,13 +45,8 @@ object RegressionTree {
     new Presorted(rows, cols, order)
   }
 
-  /** Fit a tree on rows `X(i)` with gradients `grad(i)` and hessians
-    * `hess(i)` restricted to row indices `rows`. */
-  def fit(x: Array[Array[Double]], grad: Array[Double], hess: Array[Double],
-          rows: Array[Int], params: Params): Tree =
-    fit(presort(x, rows), grad, hess, params)
-
-  /** Fit a tree on presorted rows. Each node owns one segment `[lo, hi)` of
+  /** Fit a tree on presorted rows `x(i)`, `i` in `rows` of `presort(x,
+    * rows)`, with gradients `grad(i)` and hessians `hess(i)`. Each node owns one segment `[lo, hi)` of
     * the row list (in `rows` order) and of every feature's sorted list; a
     * split stably partitions each of them into left then right, so every
     * list stays in the order a per-node stable sort of the node's rows

@@ -132,6 +132,20 @@ class CommunityFeaturesSpec extends SparkSpec {
     }
   }
 
+  test("compute rejects an inner edge with two interaction rows and names it") {
+    // which of two rows a cogroup delivers last depends on the shuffle
+    val interDf = Seq((2L, 3L, Seq.fill(7)(1.0)), (4L, 6L, Seq.fill(7)(1.0)),
+      (2L, 3L, Seq.fill(7)(2.0))).toDF("src", "dst", "inter")
+    val e = intercept[Exception] {
+      LoCEC.divide(spark, fig7Edges, interDf, Map.empty[Long, Array[Double]], LoCEC.Params())
+    }
+    val cause = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
+      .collectFirst { case iae: IllegalArgumentException => iae }
+    assert(cause.isDefined, e)
+    val msg = cause.get.getMessage
+    assert(msg.contains("pair (2, 3) has more than one interaction row"), msg)
+  }
+
   test("distributed compute emits every community of every ego") {
     val assigns = LocalCommunities.detect(spark, fig7Edges)
     val inner = EgoNetworks.egoInnerEdges(spark, fig7Edges)

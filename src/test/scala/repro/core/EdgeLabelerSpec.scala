@@ -11,8 +11,8 @@ class EdgeLabelerSpec extends SparkSpec {
   // edge (1,2): in 2's ego net, node 1 is in comm 0 (tightness .8);
   //             in 1's ego net, node 2 is in comm 1 (tightness .6)
   private def assigns = spark.createDataset(Seq(
-    EgoAssign(ego = 2L, friend = 1L, comm = 0, tightness = 0.8, commSize = 3),
-    EgoAssign(ego = 1L, friend = 2L, comm = 1, tightness = 0.6, commSize = 4)))
+    EgoAssign(ego = 2L, friend = 1L, comm = 0, tightness = 0.8),
+    EgoAssign(ego = 1L, friend = 2L, comm = 1, tightness = 0.6)))
 
   private def preds = spark.createDataset(Seq(
     CommPred(ego = 2L, comm = 0, probs = Array(0.7, 0.2, 0.1), pred = "colleague"),

@@ -49,7 +49,7 @@ class LoCECDivideSpec extends SparkSpec {
     val assigns = pre.assigns.where($"ego" === 1L).collect()
     assert(assigns.length == 1)
     val a = assigns.head
-    assert(a.friend == 2L && a.commSize == 1 && a.tightness == 1.0)
+    assert(a.friend == 2L && a.tightness == 1.0)
 
     val feats = pre.commFeats.where($"ego" === 1L).collect()
     assert(feats.length == 1)

@@ -3,10 +3,12 @@ package repro.graph
 import scala.collection.mutable
 
 /** Test oracle for `GirvanNewman`: the implementation before it moved to
-  * CSR adjacency with edge-id arrays. Adjacency is `LocalGraph`'s boxed
+  * CSR adjacency with edge-id arrays. Adjacency is `LinkedGraph`'s boxed
   * `LinkedHashSet`s and betweenness a `LinkedHashMap[(Int, Int), Double]`,
-  * recomputed over the whole graph after every removal. `GirvanNewman`
-  * must return the same partition, and the same betweenness bit for bit.
+  * recomputed over the whole graph after every removal. On a `LinkedGraph`
+  * built from the edges in `(min, max)` order, `GirvanNewman` on the
+  * `LocalGraph` of the same edges must return the same partition, and the
+  * same betweenness bit for bit.
   */
 object GirvanNewmanOracle {
 
@@ -16,7 +18,7 @@ object GirvanNewmanOracle {
     * @param patienceFrac stop after `max(8, patienceFrac * m)` consecutive
     *                     edge removals without a modularity improvement.
     */
-  def detect(g: LocalGraph, patienceFrac: Double = 0.5): Array[Int] = {
+  def detect(g: LinkedGraph, patienceFrac: Double = 0.5): Array[Int] = {
     val n = g.numNodes
     if (n == 0) return Array.empty
     val m0 = g.numEdges
@@ -69,7 +71,7 @@ object GirvanNewmanOracle {
 
   /** Edge betweenness of every current edge via Brandes' algorithm
     * (unweighted). Keys are (minIndex, maxIndex). */
-  def edgeBetweenness(g: LocalGraph): mutable.Map[(Int, Int), Double] = {
+  def edgeBetweenness(g: LinkedGraph): mutable.Map[(Int, Int), Double] = {
     val n = g.numNodes
     val bet = mutable.LinkedHashMap.empty[(Int, Int), Double]
     g.edgeList().foreach(e => bet(e) = 0.0)
@@ -121,7 +123,7 @@ object GirvanNewmanOracle {
 
   /** The edge with the maximum betweenness; ties broken by smallest
     * (minIndex, maxIndex) pair for determinism. */
-  private def maxBetweennessEdge(g: LocalGraph): (Int, Int) = {
+  private def maxBetweennessEdge(g: LinkedGraph): (Int, Int) = {
     val bet = edgeBetweenness(g)
     var bestEdge: (Int, Int) = null
     var bestVal = Double.NegativeInfinity

@@ -1,6 +1,7 @@
 package repro.graph
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.LocalCommunities
 import scala.util.Random
 
 class GirvanNewmanSpec extends AnyFunSuite {
@@ -17,6 +18,10 @@ class GirvanNewmanSpec extends AnyFunSuite {
 
   private def groups(comm: Array[Int]): Set[Set[Int]] =
     comm.zipWithIndex.groupBy(_._1).values.map(_.map(_._2).toSet).toSet
+
+  /** Betweenness keyed by (lo, hi) index pair. */
+  private def betweenness(g: LocalGraph): Map[(Int, Int), Double] =
+    GirvanNewman.edgeBetweenness(g).zipWithIndex.map { case (b, e) => (g.lo(e), g.hi(e)) -> b }.toMap
 
   test("empty graph yields empty assignment") {
     assert(GirvanNewman.detect(LocalGraph(Nil, Nil)).isEmpty)
@@ -98,12 +103,10 @@ class GirvanNewmanSpec extends AnyFunSuite {
 
   test("modularity of the two-clique ground truth beats the trivial partition") {
     val g = twoCliques(4)
-    val orig = g.edgeList()
-    val deg = Array.tabulate(g.numNodes)(g.degree)
     val trivial = Array.fill(g.numNodes)(0)
     val truth = Array.tabulate(g.numNodes)(i => if (i < 4) 0 else 1)
-    val qTrivial = GirvanNewman.modularity(orig, deg, g.numEdges, trivial)
-    val qTruth = GirvanNewman.modularity(orig, deg, g.numEdges, truth)
+    val qTrivial = GirvanNewman.modularity(g, trivial)
+    val qTruth = GirvanNewman.modularity(g, truth)
     assert(qTruth > qTrivial)
     assert(math.abs(qTrivial) < 1e-12) // single community has Q = 0
   }
@@ -112,15 +115,14 @@ class GirvanNewmanSpec extends AnyFunSuite {
     // cycle 0-1-2-3-0; partition {0,1},{2,3}: inside=2 edges? no — edges
     // (0,1) and (2,3) inside => e=2/4; degree sums 4 and 4 => (4/8)^2 each
     val g = LocalGraph(Seq(0L, 1L, 2L, 3L), Seq((0L, 1L), (1L, 2L), (2L, 3L), (0L, 3L)))
-    val q = GirvanNewman.modularity(g.edgeList(), Array.tabulate(4)(g.degree), 4,
-      Array(0, 0, 1, 1))
+    val q = GirvanNewman.modularity(g, Array(0, 0, 1, 1))
     assert(math.abs(q - (2.0 / 4 - 2 * 0.25)) < 1e-12)
   }
 
   test("edge betweenness of a path is highest in the middle") {
     // path 0-1-2-3: edge (1,2) lies on 4 of the 6 shortest paths
     val g = LocalGraph(Seq(0L, 1L, 2L, 3L), Seq((0L, 1L), (1L, 2L), (2L, 3L)))
-    val bet = GirvanNewman.edgeBetweenness(g)
+    val bet = betweenness(g)
     assert(bet((1, 2)) > bet((0, 1)))
     assert(math.abs(bet((1, 2)) - 4.0) < 1e-9)
     assert(math.abs(bet((0, 1)) - 3.0) < 1e-9)
@@ -128,7 +130,7 @@ class GirvanNewmanSpec extends AnyFunSuite {
 
   test("edge betweenness of the bridge dominates in two cliques") {
     val g = twoCliques(4)
-    val bet = GirvanNewman.edgeBetweenness(g)
+    val bet = betweenness(g)
     val bridge = bet((0, 4))
     bet.foreach { case (e, v) => if (e != (0, 4)) assert(v < bridge) }
   }
@@ -138,7 +140,8 @@ class GirvanNewmanSpec extends AnyFunSuite {
     // leaf itself + 3 paths to other leaves each counted 1/... ) = 4
     val g = LocalGraph(Seq(0L, 1L, 2L, 3L, 4L), (1 to 4).map(i => (0L, i.toLong)))
     val bet = GirvanNewman.edgeBetweenness(g)
-    bet.values.foreach(v => assert(math.abs(v - 4.0) < 1e-9))
+    assert(bet.length == 4)
+    bet.foreach(v => assert(math.abs(v - 4.0) < 1e-9))
   }
 
   test("three cliques in a chain give three communities") {
@@ -171,15 +174,24 @@ class GirvanNewmanSpec extends AnyFunSuite {
 
   /** Graphs on which betweenness ties are common (cycles, grids, complete
     * bipartite graphs, chained cliques) or absent (sparse and planted
-    * random graphs), each with isolated nodes sometimes and with its edges
-    * added in a shuffled order, so adjacency order is not sorted. */
-  private def oracleGraphs: Seq[LocalGraph] = {
+    * random graphs), each with isolated nodes sometimes. Each comes as its
+    * node ids, its edges as a raw list (shuffled, endpoints swapped at
+    * random, with duplicates, self-loops and unknown endpoints added) and
+    * its edges as the canonical list, sorted by (min, max) index. */
+  private def oracleGraphs: Seq[(Seq[Long], Seq[(Long, Long)], Seq[(Long, Long)])] = {
     val rng = new Random(11)
-    def shuffled(n: Int, edges: Seq[(Int, Int)]): LocalGraph = {
+    def variants(n: Int, edges: Seq[(Int, Int)]) = {
       val ids = rng.shuffle((1L to 1000L).toVector).take(n)
-      val es = rng.shuffle(edges).map { case (i, j) =>
-        if (rng.nextBoolean()) (ids(i), ids(j)) else (ids(j), ids(i)) }
-      LocalGraph(ids, es)
+      val raw = rng.shuffle(edges ++ edges.filter(_ => rng.nextInt(4) == 0) ++
+        Seq.fill(1 + rng.nextInt(2)) { val i = rng.nextInt(n); (i, i) })
+        .map { case (i, j) => if (rng.nextBoolean()) (ids(i), ids(j)) else (ids(j), ids(i)) } ++
+        Seq((ids(0), 5000L), (5001L, 5002L))
+      val byId = ids.sorted
+      val canonical = edges.map { case (i, j) =>
+        val (a, b) = (byId.indexOf(ids(i)), byId.indexOf(ids(j)))
+        (math.min(a, b), math.max(a, b))
+      }.distinct.sorted.map { case (a, b) => (byId(a), byId(b)) }
+      (ids, rng.shuffle(raw), canonical)
     }
     def keep(n: Int, edges: Seq[(Int, Int)]) = edges.filter { case (i, j) => i < n && j < n }
     val families = (3 to 9).flatMap { k =>
@@ -201,26 +213,50 @@ class GirvanNewmanSpec extends AnyFunSuite {
                         if rng.nextDouble() < q } yield (i, j)
       (n + rng.nextInt(3), edges)
     }
-    (families ++ random).map { case (n, es) => shuffled(n, keep(n, es)) }
+    (families ++ random).map { case (n, es) => variants(n, keep(n, es)) }
   }
+
+  private def bits(xs: Seq[Double]): Seq[Long] = xs.map(java.lang.Double.doubleToRawLongBits)
 
   test("detect and edgeBetweenness equal the LinkedHashSet oracle bit for bit") {
     val graphs = oracleGraphs
-    assert(graphs.exists(g => g.numNodes > 40 && g.numEdges > 100))
+    assert(graphs.exists { case (ids, _, es) => ids.size > 40 && es.size > 100 })
     var tied = 0
-    graphs.foreach { g =>
-      val bet = GirvanNewman.edgeBetweenness(g).toSeq
-      val want = GirvanNewmanOracle.edgeBetweenness(g).toSeq
-      assert(bet.map(_._1) == want.map(_._1))
-      assert(bet.map(e => java.lang.Double.doubleToRawLongBits(e._2)) ==
-             want.map(e => java.lang.Double.doubleToRawLongBits(e._2)), g.nodeIds.toSeq)
+    graphs.foreach { case (ids, raw, canonical) =>
+      val g = LocalGraph(ids, raw)
+      val o = LinkedGraph(ids, canonical)
+      assert(g.numEdges == o.numEdges && g.numEdges == canonical.size)
+      val want = GirvanNewmanOracle.edgeBetweenness(o).toSeq
+      assert((0 until g.numEdges).map(e => (g.lo(e), g.hi(e))) == want.map(_._1))
+      assert(bits(GirvanNewman.edgeBetweenness(g).toSeq) == bits(want.map(_._2)), ids)
       if (want.nonEmpty && want.count(e => math.abs(e._2 - want.map(_._2).max) <= 1e-12) > 1)
         tied += 1
       Seq(0.0, 0.1, 0.5, 1e9).foreach { pf =>
-        assert(GirvanNewman.detect(g, pf).toSeq == GirvanNewmanOracle.detect(g, pf).toSeq,
-          (g.nodeIds.toSeq, pf))
+        assert(GirvanNewman.detect(g, pf).toSeq == GirvanNewmanOracle.detect(o, pf).toSeq, (ids, pf))
       }
     }
     assert(tied > 10, "too few graphs with tied maximum betweenness")
+  }
+
+  test("betweenness, partitions and detectOne tightness do not depend on edge order") {
+    val rng = new Random(17)
+    var graphs = 0
+    oracleGraphs.foreach { case (ids, raw, _) =>
+      val g = LocalGraph(ids, raw)
+      val bet = bits(GirvanNewman.edgeBetweenness(g).toSeq)
+      val comm = GirvanNewman.detect(g).toSeq
+      val assigns = LocalCommunities.detectOne(0L, ids.toArray, raw)
+      (1 to 3).foreach { _ =>
+        val order = rng.shuffle(raw).map(e => if (rng.nextBoolean()) e.swap else e)
+        val h = LocalGraph(rng.shuffle(ids), order)
+        assert(bits(GirvanNewman.edgeBetweenness(h).toSeq) == bet, ids)
+        assert(GirvanNewman.detect(h).toSeq == comm, ids)
+        val again = LocalCommunities.detectOne(0L, rng.shuffle(ids).toArray, order)
+        assert(again.map(a => (a.friend, a.comm)) == assigns.map(a => (a.friend, a.comm)), ids)
+        assert(bits(again.map(_.tightness)) == bits(assigns.map(_.tightness)), ids)
+      }
+      graphs += 1
+    }
+    assert(graphs == 68)
   }
 }

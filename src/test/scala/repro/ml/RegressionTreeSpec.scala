@@ -9,8 +9,8 @@ class RegressionTreeSpec extends AnyFunSuite {
   private def fitSquared(x: Array[Array[Double]], y: Array[Double],
                          params: RegressionTree.Params = RegressionTree.Params(lambda = 0.0, minSamplesLeaf = 1))
       : RegressionTree.Tree =
-    RegressionTree.fit(x, y.map(-_), Array.fill(y.length)(1.0),
-      Array.tabulate(y.length)(identity), params)
+    RegressionTree.fit(RegressionTree.presort(x, Array.tabulate(y.length)(identity)),
+      y.map(-_), Array.fill(y.length)(1.0), params)
 
   test("constant target yields a single leaf with that value") {
     val x = Array.tabulate(10)(i => Array(i.toDouble))
@@ -56,7 +56,7 @@ class RegressionTreeSpec extends AnyFunSuite {
     val x = Array(Array(0.0), Array(0.0))
     val grad = Array(-2.0, -4.0) // G = -6
     val hess = Array(1.0, 1.0)   // H = 2
-    val t = RegressionTree.fit(x, grad, hess, Array(0, 1),
+    val t = RegressionTree.fit(RegressionTree.presort(x, Array(0, 1)), grad, hess,
       RegressionTree.Params(maxDepth = 0, lambda = 1.0))
     assert(math.abs(t.predict(Array(0.0)) - 2.0) < 1e-12) // 6/(2+1)
   }
@@ -164,7 +164,7 @@ class RegressionTreeSpec extends AnyFunSuite {
         else Array.tabulate(n)(identity)
       val params = RegressionTree.Params(maxDepth, minLeaf, lambda, gamma)
       val clue = s"case $cases: n=$n $params shuffledSubset=$shuffledSubset"
-      assertSameTree(RegressionTree.fit(x, grad, hess, rows, params),
+      assertSameTree(RegressionTree.fit(RegressionTree.presort(x, rows), grad, hess, params),
         RegressionTreeOracle.fit(x, grad, hess, rows, params), clue)
       cases += 1
     }
@@ -180,7 +180,7 @@ class RegressionTreeSpec extends AnyFunSuite {
     val hess = Array.fill(4)(1.0)
     val rows = Array(2, 0, 1, 3)
     val params = RegressionTree.Params(maxDepth = 1, minSamplesLeaf = 1, lambda = 1.0)
-    val t = RegressionTree.fit(x, grad, hess, rows, params)
+    val t = RegressionTree.fit(RegressionTree.presort(x, rows), grad, hess, params)
     assertSameTree(t, RegressionTreeOracle.fit(x, grad, hess, rows, params), "tied rows")
     assert(t.numLeaves == 2)
   }
@@ -206,7 +206,7 @@ class RegressionTreeSpec extends AnyFunSuite {
     val hess = Array.fill(30)(0.1 + rng.nextDouble())
     val rows = Array.fill(60)(rng.nextInt(30))
     val params = RegressionTree.Params(maxDepth = 4, minSamplesLeaf = 2)
-    assertSameTree(RegressionTree.fit(x, grad, hess, rows, params),
+    assertSameTree(RegressionTree.fit(RegressionTree.presort(x, rows), grad, hess, params),
       RegressionTreeOracle.fit(x, grad, hess, rows, params), "repeated rows")
   }
 
@@ -215,7 +215,7 @@ class RegressionTreeSpec extends AnyFunSuite {
     val grad = Array.tabulate(10)(i => i - 4.5)
     val hess = Array.fill(10)(0.5)
     val params = RegressionTree.Params(maxDepth = 3, minSamplesLeaf = 1, lambda = 1.0)
-    val t = RegressionTree.fit(x, grad, hess, Array(7), params)
+    val t = RegressionTree.fit(RegressionTree.presort(x, Array(7)), grad, hess, params)
     assert(t.numLeaves == 1)
     assert(t.predict(x(0)) == -2.5 / 1.5)
     assertSameTree(t, RegressionTreeOracle.fit(x, grad, hess, Array(7), params), "one row")
