@@ -3,9 +3,12 @@ package repro.core
 import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.ml.{CommCNN, GBDT}
 
-/** Phase II classification result for one local community: softmax vector
-  * r^C over [[repro.wechat.RelationType.Major]] (sorted order). */
-final case class CommPred(ego: Long, comm: Int, probs: Array[Double], pred: String)
+/** Phase II classification result for one local community: its members
+  * and their tightness, as in [[CommFeat]], and the softmax vector r^C over
+  * [[repro.wechat.RelationType.Major]] (sorted order). The members and
+  * tightness are what Phase III's Eq. 4 reads besides r^C. */
+final case class CommPred(ego: Long, comm: Int, members: Array[Long], tightness: Array[Double],
+                          probs: Array[Double], pred: String)
 
 /** A trained community classification model — either the XGBoost-style
   * mean/std pooling variant (LoCEC-XGB) or CommCNN (LoCEC-CNN). Both are
@@ -82,13 +85,15 @@ object CommunityClassifier {
   }
 
   /** Distributed classification: the (small) model ships inside the task
-    * closure and is used as is; inference never writes to it. */
+    * closure and is used as is; inference never writes to it. Each row
+    * carries its community's members and tightness through, so Phase III
+    * needs no join against the Phase I assignments. */
   def classify(spark: SparkSession, commFeats: Dataset[CommFeat],
                model: CommModel): Dataset[CommPred] = {
     import spark.implicits._
     commFeats.map { cf =>
       val p = model.predictProba(cf)
-      CommPred(cf.ego, cf.comm, p, model.classes(p.indexOf(p.max)))
+      CommPred(cf.ego, cf.comm, cf.members, cf.tightness, p, model.classes(p.indexOf(p.max)))
     }
   }
 }

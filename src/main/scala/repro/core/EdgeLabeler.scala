@@ -12,10 +12,11 @@ import repro.ml.LogisticRegression
   *
   * where C_u is u's local community in v's ego network and vice versa.
   *
-  * Every friend assignment is one side of exactly one edge, so Phase III is
-  * one pass keyed by the canonical pair (min, max): the assignments joined
-  * with their community's prediction become side rows, and one cogroup
-  * meets them with the edges asked for.
+  * Every community member is one side of exactly one edge, so Phase III is
+  * one pass keyed by the canonical pair (min, max): each classified
+  * community (which carries its members and their tightness) becomes one
+  * side row per member in a narrow pass, and one cogroup meets the side
+  * rows with the edges asked for.
   */
 object EdgeLabeler {
 
@@ -52,14 +53,9 @@ object EdgeLabeler {
     * request may name its edge in either order: (dst, src) gives
     * [t_v, t_u, r^{C_v}, r^{C_u}] of (src, dst). */
   def keyed(spark: SparkSession, requests: Dataset[Request],
-            assigns: Dataset[EgoAssign], preds: Dataset[CommPred]): Dataset[EdgeFeat] = {
+            preds: Dataset[CommPred]): Dataset[EdgeFeat] = {
     import spark.implicits._
-    val sides = assigns.toDF()
-      .join(preds.toDF().select("ego", "comm", "probs"), Seq("ego", "comm"))
-      .select(least($"ego", $"friend") as "lo", greatest($"ego", $"friend") as "hi",
-        $"ego" === greatest($"ego", $"friend") as "isU", $"tightness", $"probs")
-      .as[Side]
-    sides.groupByKey(s => (s.lo, s.hi))
+    sides(spark, preds).groupByKey(s => (s.lo, s.hi))
       .cogroup(requests.groupByKey(r => (math.min(r.src, r.dst), math.max(r.src, r.dst)))) {
         (_, ss, rs) =>
           val (us, vs) = ss.toArray.partition(_.isU)
@@ -73,13 +69,30 @@ object EdgeLabeler {
       }
   }
 
+  /** The Eq. 4 side rows of the classified communities: one per member m
+    * of ego e's community C, `Side(min(e, m), max(e, m), e == max,
+    * tightness(m, C), r^C)`, from a narrow pass over `preds`. */
+  private[core] def sides(spark: SparkSession, preds: Dataset[CommPred]): Dataset[Side] = {
+    import spark.implicits._
+    preds.flatMap { p =>
+      p.members.indices.iterator.map { i =>
+        val m = p.members(i)
+        val hi = math.max(p.ego, m)
+        Side(math.min(p.ego, m), hi, p.ego == hi, p.tightness(i), p.probs)
+      }
+    }
+  }
+
   /** Eq. 4 feature vectors (src, dst, feats) for the given (src, dst)
     * edges: `keyed` with every edge requested as a target. Edges without
-    * both sides are dropped. */
+    * both sides are dropped. `assigns` is not read: the side rows come
+    * from `preds`, which carries each community's members and tightness.
+    * The parameter stays only for existing callers; ROADMAP item 2 deletes
+    * this function. */
   def features(spark: SparkSession, edges: DataFrame,
                assigns: Dataset[EgoAssign], preds: Dataset[CommPred]): DataFrame = {
     import spark.implicits._
-    keyed(spark, targets(spark, edges).as[Request], assigns, preds).select("src", "dst", "feats")
+    keyed(spark, targets(spark, edges).as[Request], preds).select("src", "dst", "feats")
   }
 
   /** Train the Phase III LR on labeled edges.

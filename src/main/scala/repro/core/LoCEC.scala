@@ -101,8 +101,10 @@ object LoCEC {
 
   /** Training, Phase II classification and Phase III on a `divide` output.
     * Uses the model fields of `params` (`variant`, `gbdt`, `cnn`, `lr`,
-    * `maxTrainCommunities`). Phase III is one `EdgeLabeler.keyed` pass over
-    * the target and training edges; its training rows are sorted by
+    * `maxTrainCommunities`). Phase II classification carries each
+    * community's members and tightness, so Phase III is one
+    * `EdgeLabeler.keyed` pass over `commPreds` and the target and training
+    * edges, with no join against `assigns`; its training rows are sorted by
     * (src, dst, label), so the LR fit does not depend on Spark's
     * partitioning, and its intermediate is released once `edgePreds` is
     * materialized.
@@ -140,7 +142,7 @@ object LoCEC {
     // ---- Phase III: combination — Eq. 4 features + LR ------------------
     val (edgePreds, phase3Sec) = timed {
       val feats = EdgeLabeler.keyed(spark, EdgeLabeler.requests(spark, target, trainEdges),
-        assigns, commPreds).persist(StorageLevel.MEMORY_AND_DISK)
+        commPreds).persist(StorageLevel.MEMORY_AND_DISK)
       val trainFeats = feats.where($"label".isNotNull).collect()
         .sortBy(e => (e.src, e.dst, e.label))
         .map(e => (e.feats, e.label))

@@ -93,7 +93,9 @@ object Experiments {
 
   /** Table IV: edge classification P/R/F1 for the five algorithms. Returns
     * algorithm → per-class scores + overall (in insertion order). Both
-    * LoCEC variants label from `pre`, the `LoCEC.divide` output of `st`. */
+    * LoCEC variants label from `pre`, the `LoCEC.divide` output of `st`;
+    * each variant's `commPreds` and `edgePreds` are released once scored,
+    * and `pre` stays cached for the caller. */
   def tableIV(spark: SparkSession, st: Setup, pre: LoCEC.Precomputed,
               sizes: ModelSizes = ModelSizes(),
               algorithms: Seq[String] = Seq("ProbWP", "Economix", "XGBoost",
@@ -101,22 +103,26 @@ object Experiments {
       : Seq[(String, Seq[Metrics.Score])] = {
     val targets = st.testEdges.select("src", "dst")
 
-    def runLoCEC(variant: LoCEC.Variant): DataFrame =
-      LoCEC.label(spark, pre, st.trainEdges, targets,
+    def score(preds: DataFrame): Seq[Metrics.Score] = evaluate(spark, preds, st.testEdges)
+
+    def scoreLoCEC(variant: LoCEC.Variant): Seq[Metrics.Score] = {
+      val r = LoCEC.label(spark, pre, st.trainEdges, targets,
         LoCEC.Params(variant = variant, gbdt = sizes.gbdt, cnn = sizes.cnn,
-          lr = sizes.lr, maxTrainCommunities = sizes.maxTrainCommunities)).edgePreds
+          lr = sizes.lr, maxTrainCommunities = sizes.maxTrainCommunities))
+      try score(r.edgePreds)
+      finally Seq(r.commPreds, r.edgePreds).foreach(_.unpersist())
+    }
 
     algorithms.map { algo =>
-      val preds = algo match {
-        case "ProbWP"    => ProbWP.run(spark, st.edges, st.trainEdges, targets)
-        case "Economix"  => Economix.run(spark, st.edges, st.interactions, st.trainEdges, targets)
-        case "XGBoost"   => XGBoostEdge.run(spark, st.interactions, st.userFeatures,
-                                            st.trainEdges, targets, params = sizes.gbdt)
-        case "LoCEC-XGB" => runLoCEC(LoCEC.Xgb)
-        case "LoCEC-CNN" => runLoCEC(LoCEC.Cnn)
+      algo -> (algo match {
+        case "ProbWP"    => score(ProbWP.run(spark, st.edges, st.trainEdges, targets))
+        case "Economix"  => score(Economix.run(spark, st.edges, st.interactions, st.trainEdges, targets))
+        case "XGBoost"   => score(XGBoostEdge.run(spark, st.interactions, st.userFeatures,
+                                                  st.trainEdges, targets, params = sizes.gbdt))
+        case "LoCEC-XGB" => scoreLoCEC(LoCEC.Xgb)
+        case "LoCEC-CNN" => scoreLoCEC(LoCEC.Cnn)
         case other       => throw new IllegalArgumentException(s"unknown algorithm $other")
-      }
-      algo -> evaluate(spark, preds, st.testEdges)
+      })
     }
   }
 
@@ -151,12 +157,15 @@ object Experiments {
   // ----------------------------------------------------------------- VI --
   /** Table VI: per-phase running time of LoCEC-CNN over the whole network
     * (all edges labeled in Phase III). Paper reports hours on 100 servers;
-    * we report seconds on local[*] and compare the per-phase shape. */
+    * we report seconds on local[*] and compare the per-phase shape. The
+    * run's four Result Datasets are released before it returns. */
   def tableVI(spark: SparkSession, st: Setup,
               sizes: ModelSizes = ModelSizes()): LoCEC.Timings = {
-    LoCEC.run(spark, st.edges, st.interactions, st.userFeatures, st.trainEdges,
+    val r = LoCEC.run(spark, st.edges, st.interactions, st.userFeatures, st.trainEdges,
       LoCEC.Params(variant = LoCEC.Cnn, gbdt = sizes.gbdt, cnn = sizes.cnn,
-        lr = sizes.lr, maxTrainCommunities = sizes.maxTrainCommunities)).timings
+        lr = sizes.lr, maxTrainCommunities = sizes.maxTrainCommunities))
+    Seq(r.assigns, r.commFeats, r.commPreds, r.edgePreds).foreach(_.unpersist())
+    r.timings
   }
 
   // ------------------------------------------------------------ helpers --

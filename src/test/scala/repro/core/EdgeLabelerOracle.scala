@@ -3,11 +3,28 @@ package repro.core
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 import org.apache.spark.sql.functions._
 
-/** Test oracle for `EdgeLabeler.features`: the Eq. 4 join chain that
-  * `EdgeLabeler` used before Phase III became one keyed cogroup. Each side
-  * of Eq. 4 is built with two shuffled joins (`edges ⋈ assigns`, then
-  * `⋈ preds`) and the two sides are joined on (src, dst). */
+/** Test oracles for `EdgeLabeler`.
+  *
+  * `features` is the Eq. 4 join chain that `EdgeLabeler` used before Phase
+  * III became one keyed cogroup. Each side of Eq. 4 is built with two
+  * shuffled joins (`edges ⋈ assigns`, then `⋈ preds`) and the two sides are
+  * joined on (src, dst).
+  *
+  * `sides` is the `assigns ⋈ preds` join on (ego, comm) that built the side
+  * rows before Phase II classification carried each community's members. */
 object EdgeLabelerOracle {
+
+  /** One side row per assignment: its community's prediction joined on
+    * (ego, comm). */
+  def sides(spark: SparkSession, assigns: Dataset[EgoAssign],
+            preds: Dataset[CommPred]): Dataset[EdgeLabeler.Side] = {
+    import spark.implicits._
+    assigns.toDF()
+      .join(preds.toDF().select("ego", "comm", "probs"), Seq("ego", "comm"))
+      .select(least($"ego", $"friend") as "lo", greatest($"ego", $"friend") as "hi",
+        $"ego" === greatest($"ego", $"friend") as "isU", $"tightness", $"probs")
+      .as[EdgeLabeler.Side]
+  }
 
   /** Eq. 4 feature vectors for the given (src, dst) edges (canonical
     * src < dst). Edges whose endpoints lack an assignment (degree-0 side —

@@ -1,6 +1,10 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, Dataset}
+import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
+import org.apache.spark.sql.execution.exchange.{Exchange, ShuffleExchangeExec}
+import org.apache.spark.sql.execution.joins.BaseJoinExec
+import org.apache.spark.sql.functions.lit
 import repro.SparkSpec
 import repro.exp.Experiments
 import repro.ml.{CommCNN, GBDT, LogisticRegression}
@@ -15,8 +19,25 @@ class EdgeLabelerSpec extends SparkSpec {
     EgoAssign(ego = 1L, friend = 2L, comm = 1, tightness = 0.6)))
 
   private def preds = spark.createDataset(Seq(
-    CommPred(ego = 2L, comm = 0, probs = Array(0.7, 0.2, 0.1), pred = "colleague"),
-    CommPred(ego = 1L, comm = 1, probs = Array(0.1, 0.8, 0.1), pred = "family")))
+    CommPred(ego = 2L, comm = 0, members = Array(1L), tightness = Array(0.8),
+      probs = Array(0.7, 0.2, 0.1), pred = "colleague"),
+    CommPred(ego = 1L, comm = 1, members = Array(2L), tightness = Array(0.6),
+      probs = Array(0.1, 0.8, 0.1), pred = "family")))
+
+  // a real network: its divide, and the classify output of each variant
+  private lazy val st = Experiments.setup(spark, numUsers = 300, seed = 7)
+  private lazy val pre = LoCEC.divide(spark, st.edges, st.interactions, st.userFeatures, LoCEC.Params())
+  private lazy val commPreds: Map[LoCEC.Variant, Dataset[CommPred]] = {
+    val small = LoCEC.Params(gbdt = GBDT.Params(numRounds = 5),
+      cnn = CommCNN.Config(filters = 2, hidden = 8, epochs = 2),
+      lr = LogisticRegression.Params(epochs = 100))
+    Seq(LoCEC.Xgb, LoCEC.Cnn).map { v =>
+      v -> LoCEC.label(spark, pre, st.trainEdges, st.testEdges.select("src", "dst"),
+        small.copy(variant = v)).commPreds
+    }.toMap
+  }
+
+  private def bits(a: Seq[Double]): Seq[Long] = a.map(java.lang.Double.doubleToRawLongBits)
 
   private def edge = Seq((1L, 2L)).toDF("src", "dst")
 
@@ -88,11 +109,6 @@ class EdgeLabelerSpec extends SparkSpec {
   }
 
   test("features equals the join-chain oracle bitwise on every request shape") {
-    val st = Experiments.setup(spark, numUsers = 300, seed = 7)
-    val pre = LoCEC.divide(spark, st.edges, st.interactions, st.userFeatures, LoCEC.Params())
-    val small = LoCEC.Params(gbdt = GBDT.Params(numRounds = 5),
-      cnn = CommCNN.Config(filters = 2, hidden = 8, epochs = 2),
-      lr = LogisticRegression.Params(epochs = 100))
     val edges = st.edges.select("src", "dst")
     val train = st.trainEdges.select("src", "dst")
     val test = st.testEdges.select("src", "dst")
@@ -109,26 +125,62 @@ class EdgeLabelerSpec extends SparkSpec {
       "reversed" -> reversed.union(edges.where($"src" % 2 === 0)))
     def rows(df: DataFrame): Map[(Long, Long, Seq[Long]), Int] =
       df.select("src", "dst", "feats").as[(Long, Long, Seq[Double])].collect().toSeq
-        .groupBy { case (s, d, f) => (s, d, f.map(java.lang.Double.doubleToRawLongBits)) }
+        .groupBy { case (s, d, f) => (s, d, bits(f)) }
         .map { case (k, v) => k -> v.length }
 
     Seq(LoCEC.Xgb, LoCEC.Cnn).foreach { v =>
-      val commPreds = LoCEC.label(spark, pre, st.trainEdges, test, small.copy(variant = v)).commPreds
+      val cp = commPreds(v)
       requestSets.foreach { case (name, requests) =>
-        val got = rows(EdgeLabeler.features(spark, requests, pre.assigns, commPreds))
+        val got = rows(EdgeLabeler.features(spark, requests, pre.assigns, cp))
         // one row per request; the oracle's final (src, dst) join would give
         // d² rows for a pair requested d times, so it runs on distinct pairs
         val times = requests.groupBy("src", "dst").count().as[(Long, Long, Long)].collect()
           .map { case (s, d, n) => (s, d) -> n.toInt }.toMap
-        val want = rows(EdgeLabelerOracle.features(spark, requests.distinct(), pre.assigns, commPreds))
+        val want = rows(EdgeLabelerOracle.features(spark, requests.distinct(), pre.assigns, cp))
           .map { case (k @ (s, d, _), n) => k -> n * times((s, d)) }
         assert(want.nonEmpty, (v, name))
         assert(got == want, (v, name))
+        // as `label` asks: every request both as a target and as a labeled edge
+        val keyed = EdgeLabeler.keyed(spark,
+          EdgeLabeler.requests(spark, requests, requests.withColumn("label", lit("family"))), cp)
+        assert(rows(keyed.where($"isTarget").toDF()) == want, (v, name, "target"))
+        assert(rows(keyed.where(!$"isTarget" && $"label" === "family").toDF()) == want, (v, name, "labeled"))
       }
-      assert(rows(EdgeLabeler.features(spark, edges, pre.assigns, commPreds)).values.sum == edges.count(), v)
+      assert(rows(EdgeLabeler.features(spark, edges, pre.assigns, cp)).values.sum == edges.count(), v)
       Seq(notInGraph, selfPairs).foreach { dropped =>
-        assert(EdgeLabeler.features(spark, dropped, pre.assigns, commPreds).isEmpty, v)
+        assert(EdgeLabeler.features(spark, dropped, pre.assigns, cp).isEmpty, v)
       }
+    }
+  }
+
+  test("side rows from the classify output equal the assigns ⋈ commPreds side rows bitwise") {
+    def rows(ds: Dataset[EdgeLabeler.Side]): Map[(Long, Long, Boolean, Long, Seq[Long]), Int] =
+      ds.collect().toSeq
+        .groupBy(s => (s.lo, s.hi, s.isU, java.lang.Double.doubleToRawLongBits(s.tightness), bits(s.probs.toSeq)))
+        .map { case (k, v) => k -> v.length }
+    // each assignment is the side (min, max, ego == max) of its own edge
+    val assignKeys = pre.assigns.collect().toSeq
+      .map(a => (math.min(a.ego, a.friend), math.max(a.ego, a.friend), a.ego > a.friend))
+    assert(assignKeys.nonEmpty && assignKeys.distinct.size == assignKeys.size)
+
+    Seq(LoCEC.Xgb, LoCEC.Cnn).foreach { v =>
+      val got = rows(EdgeLabeler.sides(spark, commPreds(v)))
+      val want = rows(EdgeLabelerOracle.sides(spark, pre.assigns, commPreds(v)))
+      assert(got == want, v)
+      assert(got.size == assignKeys.size && got.values.forall(_ == 1), v)
+      assert(got.keys.map(k => (k._1, k._2, k._3)).toSet == assignKeys.toSet, v)
+    }
+  }
+
+  test("Phase III's plan holds the cogroup's two exchanges and no join") {
+    object Plan extends AdaptiveSparkPlanHelper
+    val requests = EdgeLabeler.requests(spark, st.testEdges.select("src", "dst"), st.trainEdges)
+    Seq(LoCEC.Xgb, LoCEC.Cnn).foreach { v =>
+      val plan = EdgeLabeler.keyed(spark, requests, commPreds(v)).queryExecution.executedPlan
+      val joins = Plan.collect(plan) { case j: BaseJoinExec => j.nodeName }
+      assert(joins.isEmpty, plan)
+      val exchanges = Plan.collect(plan) { case e: Exchange => e }
+      assert(exchanges.size == 2 && exchanges.forall(_.isInstanceOf[ShuffleExchangeExec]), plan)
     }
   }
 

@@ -1,6 +1,8 @@
 package repro.exp
 
 import repro.SparkSpec
+import repro.core.LoCEC
+import repro.ml.{CommCNN, GBDT, LogisticRegression}
 import repro.wechat.RelationType
 
 class ExperimentsSpec extends SparkSpec {
@@ -66,6 +68,32 @@ class ExperimentsSpec extends SparkSpec {
     // any prediction was made
     val perClass = scores.dropRight(1)
     assert(perClass.exists(_.precision > 0.5) || perClass.forall(_.precision == 0.0))
+  }
+
+  test("tableIV and tableVI leave the cache as they found it") {
+    val small = Experiments.ModelSizes(gbdt = GBDT.Params(numRounds = 5),
+      cnn = CommCNN.Config(filters = 2, hidden = 8, epochs = 2),
+      lr = LogisticRegression.Params(epochs = 100), maxTrainCommunities = 2000)
+    val s = Experiments.setup(spark, numUsers = 300, seed = 11)
+    Seq(s.edges, s.interactions, s.trainEdges, s.testEdges).foreach(_.count())
+    // the CacheManager's entry count (public in bytecode, private[sql] in
+    // Scala) and the persisted RDDs behind the materialized entries
+    val cm = spark.sharedState.cacheManager
+    def entries = (cm.getClass.getMethod("numCachedEntries").invoke(cm),
+                   spark.sparkContext.getPersistentRDDs.keySet.toSet)
+
+    val pre = LoCEC.divide(spark, s.edges, s.interactions, s.userFeatures, LoCEC.Params())
+    val withPre = entries
+    val scores = Experiments.tableIV(spark, s, pre, small)
+    assert(scores.map(_._1).contains("LoCEC-CNN"))
+    assert(entries == withPre)
+    // released first: a cached divide of the same inputs would stand in
+    // for tableVI's own Phase I/II
+    Seq(pre.assigns, pre.commFeats).foreach(_.unpersist(blocking = true))
+
+    val without = entries
+    assert(Experiments.tableVI(spark, s, small).totalSec > 0)
+    assert(entries == without)
   }
 
   test("formatScores renders one row per score") {

@@ -82,6 +82,33 @@ class LogisticRegressionSpec extends AnyFunSuite {
     }
   }
 
+  test("train equals the allocating oracle bitwise: weights, biases and probabilities") {
+    def bits(a: Array[Double]): Seq[Long] = a.toSeq.map(java.lang.Double.doubleToRawLongBits)
+    // (samples, features, classes, params): two-class through Eq. 4's 8 x 3
+    // shape, a constant column, and the default and a short, strong-L2 fit
+    val shapes = Seq(
+      (40, 2, 2, LogisticRegression.Params()),
+      (300, 8, 3, LogisticRegression.Params()),
+      (120, 5, 4, LogisticRegression.Params(epochs = 50, learningRate = 0.2, l2 = 1.0, seed = 3)),
+      (1, 3, 1, LogisticRegression.Params(epochs = 10)))
+    for (seed <- 0 until 3; (n, d, k, params) <- shapes) {
+      val rng = new Random(seed)
+      val x = Array.tabulate(n)(i => Array.tabulate(d)(j => if (j == 1) 2.5 else rng.nextGaussian() * (j + 1) + i % k))
+      val y = Array.tabulate(n)(i => s"c${(i + rng.nextInt(2)) % k}")
+      val got = LogisticRegression.train(x, y, params)
+      val want = LogisticRegressionOracle.train(x, y, params)
+      val id = (seed, n, d, k)
+      assert(got.classes.toSeq == want.classes.toSeq, id)
+      assert(got.w.map(bits).toSeq == want.w.map(bits).toSeq, id)
+      assert(bits(got.b) == bits(want.b), id)
+      assert(bits(got.mean) == bits(want.mean) && bits(got.std) == bits(want.std), id)
+      val probes = x.take(20) ++ Array.fill(5)(Array.fill(d)(rng.nextGaussian() * 10))
+      probes.foreach { xi =>
+        assert(bits(got.predictProba(xi)) == bits(LogisticRegressionOracle.predictProba(want, xi)), id)
+      }
+    }
+  }
+
   test("model is java-serializable") {
     val (x, y) = linearData(40, 7)
     val m = LogisticRegression.train(x, y)
