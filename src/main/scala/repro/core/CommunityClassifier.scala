@@ -27,10 +27,11 @@ final class XgbCommModel(val model: GBDT.Model) extends CommModel {
     model.predictProba(CommunityClassifier.meanStdVector(cf))
 }
 
-/** LoCEC-CNN: the full tightness-ordered feature matrix through CommCNN. */
+/** LoCEC-CNN: the full tightness-ordered feature matrix through CommCNN,
+  * read in place. */
 final class CnnCommModel(val model: CommCNN.Model) extends CommModel {
   def classes: Array[String] = model.classes
-  def predictProba(cf: CommFeat): Array[Double] = model.predictProba(cf.matrix)
+  def predictProba(cf: CommFeat): Array[Double] = model.predictProba(cf.flat)
 }
 
 /** Training (driver-side — labeled communities are few, as in the paper)
@@ -77,11 +78,10 @@ object CommunityClassifier {
                cfg: CommCNN.Config = CommCNN.Config()): CnnCommModel = {
     val classes = samples.map(_._2).distinct.sorted.toArray
     val classIdx = classes.zipWithIndex.toMap
-    val mats = samples.map(_._1.matrix).toArray
     val labels = samples.map(s => classIdx(s._2)).toArray
     val first = samples.head._1
-    new CnnCommModel(CommCNN.train(mats, labels, classes,
-      cfg.copy(k = first.rows, d = first.cols, numClasses = classes.length)))
+    new CnnCommModel(CommCNN.train(samples.map(_._1.flat).toArray, first.rows, first.cols,
+      labels, classes, cfg))
   }
 
   /** Distributed classification: the (small) model ships inside the task

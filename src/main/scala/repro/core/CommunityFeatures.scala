@@ -8,14 +8,12 @@ import scala.collection.mutable
 /** The Phase II representation of one local community: the full member /
   * tightness lists (id-sorted, used for ground-truth labeling and Phase III)
   * plus the k × d feature matrix of Algorithm 1, flattened row-major.
-  * `rows` = k, `cols` = |I| + |f|, `size` = |C| (matrix holds the top
-  * min(size, k) members by tightness; the rest is zero padding). */
-final case class CommFeat(ego: Long, comm: Int, size: Int,
+  * `rows` = k, `cols` = |I| + |f|; the matrix holds the top min(|C|, k)
+  * members by tightness, and the rest is zero padding. */
+final case class CommFeat(ego: Long, comm: Int,
                           members: Array[Long], tightness: Array[Double],
                           flat: Array[Double], rows: Int, cols: Int) {
-  def realRows: Int = math.min(size, rows)
-  def matrix: Array[Array[Double]] =
-    Array.tabulate(rows, cols)((i, j) => flat(i * cols + j))
+  def realRows: Int = math.min(members.length, rows)
 }
 
 /** A community with an observed (survey-derived) majority label. */
@@ -77,7 +75,7 @@ object CommunityFeatures {
         var j = 0
         while (j < d) { flat(row * d + j) = feats(j); j += 1 }
       }
-      CommFeat(ego, comm, members.length, members, tight, flat, k, d)
+      CommFeat(ego, comm, members, tight, flat, k, d)
     }
   }
 

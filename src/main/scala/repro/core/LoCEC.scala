@@ -32,8 +32,7 @@ object LoCEC {
   }
 
   final case class Result(assigns: Dataset[EgoAssign], commFeats: Dataset[CommFeat],
-                          commPreds: Dataset[CommPred], commModel: CommModel,
-                          edgePreds: DataFrame, timings: Timings)
+                          commPreds: Dataset[CommPred], edgePreds: DataFrame, timings: Timings)
 
   /** Phase I and the Phase II feature matrices, with their wall-clock
     * seconds. Both are variant-independent, so one `Precomputed` serves
@@ -77,10 +76,13 @@ object LoCEC {
     * both GN and the features, and are released afterwards, so a later
     * `divide` over the same edges lists them again rather than reading a
     * cached copy. Uses `k`, `interDims`, `featDims` and `gnPatienceFrac` of
-    * `params`. */
+    * `params`. A user-feature vector whose width is not `featDims` fails
+    * with `IllegalArgumentException` before any Spark job runs. */
   def divide(spark: SparkSession, edges: DataFrame, interactions: DataFrame,
              userFeatures: collection.Map[Long, Array[Double]],
              params: Params): Precomputed = {
+    for ((u, f) <- userFeatures) require(f.length == params.featDims,
+      s"user $u has a feature vector of width ${f.length}, expected featDims = ${params.featDims}")
     val ((inner, assigns), phase1Sec) = timed {
       val inner = EgoNetworks.egoInnerEdges(spark, edges).persist(StorageLevel.MEMORY_AND_DISK)
       val assigns = LocalCommunities.detect(spark, edges, inner, params.gnPatienceFrac)
@@ -157,7 +159,7 @@ object LoCEC {
       preds
     }
 
-    Result(assigns, commFeats, commPreds, commModel, edgePreds,
+    Result(assigns, commFeats, commPreds, edgePreds,
       Timings(trainingSec, phase1Sec, featuresSec + classifySec, phase3Sec))
   }
 }

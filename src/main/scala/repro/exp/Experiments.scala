@@ -141,7 +141,7 @@ object Experiments {
     val samples = CommunityFeatures.labeledSamples(spark, pre.commFeats, labeledAll,
       sizes.maxTrainCommunities * 2)
     val (train, test) = samples.partition { case (cf, _) =>
-      math.floorMod(scala.util.hashing.MurmurHash3.productHash((cf.ego, cf.comm, seed)), 10) < 8
+      inTrainSplit(cf, seed)
     }
     require(train.nonEmpty && test.nonEmpty, "empty community split")
 
@@ -153,6 +153,10 @@ object Experiments {
       "LoCEC-CNN" -> Metrics.report(test.map(_._2),
         test.map { case (cf, _) => val p = cnn.predictProba(cf); cnn.classes(p.indexOf(p.max)) }))
   }
+
+  /** Table V's 80/20 community split: a hash of (ego, comm, seed). */
+  private[exp] def inTrainSplit(cf: CommFeat, seed: Long): Boolean =
+    math.floorMod((cf.ego, cf.comm, seed).##, 10) < 8
 
   // ----------------------------------------------------------------- VI --
   /** Table VI: per-phase running time of LoCEC-CNN over the whole network

@@ -301,38 +301,40 @@ object CommCNN {
     }
   }
 
-  final case class Config(k: Int = 20, d: Int = 9, numClasses: Int = 3,
-                          filters: Int = 8, hidden: Int = 32,
+  /** The hyper-parameters. The input shape k × d and the class count come
+    * from the data the network is built for. */
+  final case class Config(filters: Int = 8, hidden: Int = 32,
                           learningRate: Double = 1e-3, epochs: Int = 40,
                           batchSize: Int = 32, seed: Long = 17)
 
-  /** The assembled network. It holds the weights and nothing else:
-    * `forwardLogits` and `lossAndBackward` only read them, so any number of
-    * threads may share one network. Training writes only into gradient
-    * buffers (`newGrads`) and, through `Adam.step` between minibatches, into
-    * the weights. */
-  final class Network(val cfg: Config) extends Serializable {
-    require(cfg.k >= 5 && cfg.d >= 5, s"CommCNN needs k>=5 and d>=5, got k=${cfg.k} d=${cfg.d}")
+  /** The assembled network for k × d inputs and `numClasses` classes. It
+    * holds the weights and nothing else: `forwardLogits` and
+    * `lossAndBackward` only read them, so any number of threads may share
+    * one network. Training writes only into gradient buffers (`newGrads`)
+    * and, through `Adam.step` between minibatches, into the weights. */
+  final class Network(val k: Int, val d: Int, val numClasses: Int, cfg: Config)
+      extends Serializable {
+    require(k >= 5 && d >= 5, s"CommCNN needs k>=5 and d>=5, got k=$k d=$d")
     private val rng = new Random(cfg.seed)
     val f: Int = cfg.filters
 
     // wide path: 1×d conv → 1×1 conv → global max pool (3 layers of Fig. 8)
     val wide = new Path(Seq(
-      new Conv2D(1, f, 1, cfg.d, rng), new ReLU,
+      new Conv2D(1, f, 1, d, rng), new ReLU,
       new Conv2D(f, f, 1, 1, rng), new ReLU,
-      new GlobalMaxPool), 1, cfg.k, cfg.d)
+      new GlobalMaxPool), 1, k, d)
 
     // long path: k×1 conv → 1×1 conv → global max pool
     val long = new Path(Seq(
-      new Conv2D(1, f, cfg.k, 1, rng), new ReLU,
+      new Conv2D(1, f, k, 1, rng), new ReLU,
       new Conv2D(f, f, 1, 1, rng), new ReLU,
-      new GlobalMaxPool), 1, cfg.k, cfg.d)
+      new GlobalMaxPool), 1, k, d)
 
     // square path: 3×3 conv + two (conv + pool) modules; kernel/pool sizes
     // clamp to the remaining spatial extent so any k,d >= 5 works.
     val square: Path = {
       val layers = Seq.newBuilder[Layer]
-      var (c, h, w) = (1, cfg.k, cfg.d)
+      var (c, h, w) = (1, k, d)
       def addConv(kh: Int, kw: Int, outC: Int): Unit = {
         val l = new Conv2D(c, outC, kh, kw, rng)
         layers += l += new ReLU
@@ -352,12 +354,12 @@ object CommCNN {
         addPool()
         m += 1
       }
-      new Path(layers.result(), 1, cfg.k, cfg.d)
+      new Path(layers.result(), 1, k, d)
     }
 
     val concatLen: Int = wide.outLen + long.outLen + square.outLen
     val fc1 = new Dense(concatLen, cfg.hidden, rng)
-    val fc2 = new Dense(cfg.hidden, cfg.numClasses, rng)
+    val fc2 = new Dense(cfg.hidden, numClasses, rng)
 
     /** Every weight and bias array: the wide, long and square paths, then
       * fc1 and fc2. */
@@ -393,11 +395,12 @@ object CommCNN {
 
     def forwardLogits(x: Tensor3): Array[Double] = pass(x).logits
 
-    def softmax(z: Array[Double]): Array[Double] = {
-      val mx = z.max
-      val e = z.map(v => math.exp(v - mx))
-      val s = e.sum
-      e.map(_ / s)
+    /** A row-major k × d matrix as the network's input, without a copy: no
+      * layer writes to its input. */
+    def input(flat: Array[Double]): Tensor3 = {
+      require(flat.length == k * d,
+        s"CommCNN input has ${flat.length} values, expected k·d = ${k}·${d} = ${k * d}")
+      new Tensor3(1, k, d, flat)
     }
 
     /** Cross-entropy loss for one sample; adds its parameter gradients into
@@ -405,9 +408,8 @@ object CommCNN {
     def lossAndBackward(x: Tensor3, label: Int, grads: IndexedSeq[Array[Double]]): Double = {
       def part(i: Int) = grads.slice(partAt(i), partAt(i + 1))
       val fw = pass(x)
-      val p = softmax(fw.logits)
-      val loss = -math.log(math.max(p(label), 1e-12))
-      val gradLogits = p.clone()
+      val gradLogits = Softmax.inPlace(fw.logits)
+      val loss = -math.log(math.max(gradLogits(label), 1e-12))
       gradLogits(label) -= 1.0
       val gH1 = fc2.backward(fw.a1, gradLogits, part(4))
       var i = 0
@@ -486,29 +488,17 @@ object CommCNN {
     }
   }
 
-  /** Convert a k×d row matrix to the network's input tensor. */
-  def toTensor(mat: Array[Array[Double]]): Tensor3 = {
-    val k = mat.length; val d = mat(0).length
-    val t = new Tensor3(1, k, d)
-    var i = 0
-    while (i < k) {
-      var j = 0
-      while (j < d) { t(0, i, j) = mat(i)(j); j += 1 }
-      i += 1
-    }
-    t
-  }
-
-  /** Train CommCNN; `mats` are k×d matrices (already tightness-ordered and
-    * zero-padded by Phase II), `labels` are class indices into `classes`. */
-  def train(mats: Array[Array[Array[Double]]], labels: Array[Int],
+  /** Train CommCNN; `xs` are row-major k × d matrices (already
+    * tightness-ordered and zero-padded by Phase II), `labels` are class
+    * indices into `classes`. Training only reads `xs`. */
+  def train(xs: Array[Array[Double]], k: Int, d: Int, labels: Array[Int],
             classes: Array[String], cfg: Config): Model = {
-    require(mats.length == labels.length && mats.nonEmpty, "empty or mismatched training data")
-    val net = new Network(cfg.copy(numClasses = classes.length))
+    require(xs.length == labels.length && xs.nonEmpty, "empty or mismatched training data")
+    val net = new Network(k, d, classes.length, cfg)
     val adam = new Adam(net, cfg.learningRate)
     val gradient = new ShardedGradient(net)
-    val tensors = mats.map(toTensor)
-    val idx = Array.tabulate(mats.length)(identity)
+    val tensors = xs.map(net.input)
+    val idx = Array.tabulate(xs.length)(identity)
     val rng = new Random(cfg.seed + 1)
 
     var epoch = 0
@@ -538,7 +528,8 @@ object CommCNN {
     * any number of threads may share one instance without locking or
     * copying it. */
   final class Model(val net: Network, val classes: Array[String]) extends Serializable {
-    def predictProba(mat: Array[Array[Double]]): Array[Double] =
-      net.softmax(net.forwardLogits(toTensor(mat)))
+    /** Class probabilities of one row-major k × d matrix; reads `flat` only. */
+    def predictProba(flat: Array[Double]): Array[Double] =
+      Softmax.inPlace(net.forwardLogits(net.input(flat)))
   }
 }

@@ -10,9 +10,9 @@ package repro.ml
   */
 object GBDT {
 
+  /** `tree` is handed to every `RegressionTree.fit` unchanged. */
   final case class Params(numRounds: Int = 40, learningRate: Double = 0.2,
-                          maxDepth: Int = 3, minSamplesLeaf: Int = 5,
-                          lambda: Double = 1.0, gamma: Double = 0.0)
+                          tree: RegressionTree.Params = RegressionTree.Params())
 
   /** Train on dense rows `x` with string labels `y`. */
   def train(x: Array[Array[Double]], y: Array[String], params: Params = Params()): Model = {
@@ -31,11 +31,11 @@ object GBDT {
 
     val scores = Array.fill(n, k)(0.0)
     val trees = Array.newBuilder[Array[RegressionTree.Tree]]
-    val treeParams = RegressionTree.Params(params.maxDepth, params.minSamplesLeaf,
-                                           params.lambda, params.gamma)
 
     var round = 0
     while (round < params.numRounds) {
+      // scores change only after the round: one softmax serves every class
+      val probs = scores.map(s => Softmax.inPlace(s.clone()))
       val roundTrees = new Array[RegressionTree.Tree](k)
       var c = 0
       while (c < k) {
@@ -43,12 +43,12 @@ object GBDT {
         val hess = new Array[Double](n)
         var i = 0
         while (i < n) {
-          val p = softmax(scores(i))(c)
+          val p = probs(i)(c)
           grad(i) = p - (if (yi(i) == c) 1.0 else 0.0)
           hess(i) = math.max(p * (1.0 - p), 1e-6)
           i += 1
         }
-        roundTrees(c) = RegressionTree.fit(sorted, grad, hess, treeParams)
+        roundTrees(c) = RegressionTree.fit(sorted, grad, hess, params.tree)
         c += 1
       }
       // update all class scores after the whole round (standard practice)
@@ -67,13 +67,6 @@ object GBDT {
     new Model(classes, trees.result(), params.learningRate)
   }
 
-  private def softmax(z: Array[Double]): Array[Double] = {
-    val mx = z.max
-    val e = z.map(v => math.exp(v - mx))
-    val s = e.sum
-    e.map(_ / s)
-  }
-
   /** A trained multiclass GBDT. Serializable so Spark can broadcast it for
     * distributed inference. */
   final class Model(val classes: Array[String],
@@ -90,7 +83,7 @@ object GBDT {
       raw
     }
 
-    def predictProba(xi: Array[Double]): Array[Double] = softmax(predictRaw(xi))
+    def predictProba(xi: Array[Double]): Array[Double] = Softmax.inPlace(predictRaw(xi))
 
     def predictLabel(xi: Array[Double]): String = {
       val p = predictRaw(xi)

@@ -45,11 +45,4 @@ object Metrics {
   /** Per-class rows followed by the overall row. */
   def report(truth: Seq[String], pred: Seq[String]): Seq[Score] =
     perClass(truth, pred) :+ overall(truth, pred)
-
-  /** Plain accuracy. */
-  def accuracy(truth: Seq[String], pred: Seq[String]): Double = {
-    require(truth.length == pred.length)
-    if (truth.isEmpty) 0.0
-    else truth.lazyZip(pred).count { case (t, p) => t == p }.toDouble / truth.length
-  }
 }

@@ -24,7 +24,7 @@ class CommunityClassifierSpec extends SparkSpec {
         flat(r * d + c) = signal + rng.nextGaussian() * 0.05
       }
     }
-    CommFeat(ego, comm, size, Array.tabulate(size)(i => ego * 100 + i),
+    CommFeat(ego, comm, Array.tabulate(size)(i => ego * 100 + i),
       Array.fill(size)(1.0), flat, k, d)
   }
 
@@ -42,7 +42,7 @@ class CommunityClassifierSpec extends SparkSpec {
     val flat = new Array[Double](k * d)
     flat(0) = 2.0        // row 0, col 0
     flat(d) = 4.0        // row 1, col 0
-    val cf = CommFeat(1L, 0, size = 2, Array(10L, 11L), Array(1.0, 1.0), flat, k, d)
+    val cf = CommFeat(1L, 0, Array(10L, 11L), Array(1.0, 1.0), flat, k, d)
     val v = CommunityClassifier.meanStdVector(cf)
     assert(v(0) == 3.0)              // mean of col 0 over 2 real rows
     assert(math.abs(v(d) - 1.0) < 1e-12) // std of col 0 = 1
@@ -51,7 +51,7 @@ class CommunityClassifierSpec extends SparkSpec {
 
   test("meanStdVector ignores zero padding beyond size") {
     val flat = Array.fill(k * d)(1.0)
-    val small = CommFeat(1L, 0, size = 1, Array(10L), Array(1.0), flat, k, d)
+    val small = CommFeat(1L, 0, Array(10L), Array(1.0), flat, k, d)
     val v = CommunityClassifier.meanStdVector(small)
     assert(v(0) == 1.0) // mean over the single real row, not k rows
     assert(v(d) == 0.0) // std of one row is 0

@@ -27,7 +27,7 @@ class CommunityFeaturesSpec extends SparkSpec {
     val feats = CommunityFeatures.buildForEgo(1L, fig7Assigns, Map.empty,
       _ => Array(0.0), k = 4, interDims = interDims, featDims = featDims)
     assert(feats.length == 2)
-    assert(feats.map(_.size).sorted.toSeq == Seq(2, 3))
+    assert(feats.map(_.members.length).sorted.toSeq == Seq(2, 3))
   }
 
   test("matrix has k rows and |I|+|f| columns, flattened") {
@@ -36,7 +36,6 @@ class CommunityFeaturesSpec extends SparkSpec {
     feats.foreach { cf =>
       assert(cf.rows == 4 && cf.cols == 3)
       assert(cf.flat.length == 12)
-      assert(cf.matrix.length == 4 && cf.matrix.head.length == 3)
     }
   }
 
@@ -47,8 +46,8 @@ class CommunityFeaturesSpec extends SparkSpec {
     val userF = Map(2L -> Array(20.0), 3L -> Array(30.0), 4L -> Array(40.0))
     val feats = CommunityFeatures.buildForEgo(1L, fig7Assigns, inter,
       u => userF.getOrElse(u, Array(0.0)), k = 4, interDims = interDims, featDims = featDims)
-    val c1 = feats.find(_.size == 3).get
-    val m = c1.matrix
+    val c1 = feats.find(_.members.length == 3).get
+    val m = c1.flat.grouped(c1.cols).toArray
     // Eq. 1: totals dim0 = 8; user sums: u2 = 6, u3 = 6, u4 = 4
     assert(math.abs(m(0)(0) - 6.0 / 8) < 1e-12) // u2 row first (tightness 1, id 2)
     assert(m(0)(2) == 20.0)
@@ -71,16 +70,16 @@ class CommunityFeaturesSpec extends SparkSpec {
     val inter = Map.empty[(Long, Long), Array[Double]]
     val feats = CommunityFeatures.buildForEgo(1L, fig7Assigns, inter,
       u => Array(u.toDouble), k = 2, interDims = interDims, featDims = featDims)
-    val c1 = feats.find(_.size == 3).get
+    val c1 = feats.find(_.members.length == 3).get
     // members 2,3,4 with tightness 1,1,2/3 → rows for 2 and 3 only
-    assert(c1.matrix(0)(2) == 2.0)
-    assert(c1.matrix(1)(2) == 3.0)
+    assert(c1.flat(0 * c1.cols + 2) == 2.0)
+    assert(c1.flat(1 * c1.cols + 2) == 3.0)
   }
 
   test("members and tightness arrays stay aligned and id-sorted") {
     val feats = CommunityFeatures.buildForEgo(1L, fig7Assigns, Map.empty,
       _ => Array(0.0), k = 4, interDims = interDims, featDims = featDims)
-    val c1 = feats.find(_.size == 3).get
+    val c1 = feats.find(_.members.length == 3).get
     assert(c1.members.toSeq == Seq(2L, 3L, 4L))
     assert(c1.tightness.toSeq == Seq(1.0, 1.0, 2.0 / 3))
   }

@@ -54,7 +54,7 @@ class LoCECDivideSpec extends SparkSpec {
     val feats = pre.commFeats.where($"ego" === 1L).collect()
     assert(feats.length == 1)
     val cf = feats.head
-    assert(cf.size == 1 && cf.members.toSeq == Seq(2L) && cf.tightness.toSeq == Seq(1.0))
+    assert(cf.members.toSeq == Seq(2L) && cf.tightness.toSeq == Seq(1.0))
     assert(cf.flat.take(cf.cols).toSeq == Seq.fill(p.interDims)(0.0) ++ Seq(2.0, 0.5))
     assert(cf.flat.drop(cf.cols).forall(_ == 0.0))
   }
@@ -62,7 +62,7 @@ class LoCECDivideSpec extends SparkSpec {
   test("all-zero interactions give all-zero interaction columns, never NaN") {
     val zeros = st.edges.select($"src", $"dst", array_repeat(lit(0.0), p.interDims) as "inter")
     val feats = LoCEC.divide(spark, st.edges, zeros, st.userFeatures, p).commFeats.collect()
-    assert(feats.exists(_.size > 1))
+    assert(feats.exists(_.members.length > 1))
     feats.foreach { cf =>
       assert(!cf.flat.exists(_.isNaN), (cf.ego, cf.comm))
       for (r <- 0 until cf.rows; j <- 0 until p.interDims)
@@ -91,7 +91,7 @@ class LoCECDivideSpec extends SparkSpec {
         assert(c1.length == cn.length, n)
         c1.zip(cn).foreach { case (x, y) =>
           val id = (n, x.ego, x.comm)
-          assert((x.ego, x.comm, x.size, x.rows, x.cols) == (y.ego, y.comm, y.size, y.rows, y.cols), id)
+          assert((x.ego, x.comm, x.rows, x.cols) == (y.ego, y.comm, y.rows, y.cols), id)
           assert(x.members.toSeq == y.members.toSeq, id)
           assert(bits(x.tightness) == bits(y.tightness), id)
           assert(bits(x.flat) == bits(y.flat), id)
@@ -126,6 +126,34 @@ class LoCECDivideSpec extends SparkSpec {
         }
       }
     } finally spark.conf.set(key, saved)
+  }
+
+  /** Row count and SHA-256 of `rows`, one line each, in order. */
+  private def digest(rows: Seq[String]): (Int, String) = {
+    val md = java.security.MessageDigest.getInstance("SHA-256")
+    rows.foreach(r => md.update((r + "\n").getBytes("UTF-8")))
+    (rows.length, md.digest().map(b => f"$b%02x").mkString)
+  }
+
+  test("label (Xgb, Cnn) gives the recorded commPreds.probs and edgePreds bits") {
+    // Recorded before CommCNN read CommFeat.flat in place and the ML layer
+    // shared one softmax: reshaping the inputs must not move a bit.
+    val want = Map[LoCEC.Variant, ((Int, String), (Int, String))](
+      LoCEC.Xgb -> ((1332, "08c74178bdb886726bf0ae37f489c6547be9279ba45f15ca2bb54f1655d7ef5f"),
+                    (2281, "71650bc37cdd38522a5b15a01526b83678ec4445355c5daa638151036490ee3c")),
+      LoCEC.Cnn -> ((1332, "d6c086febf6f713002f00cec3b0556bf895bdf355e8994617f9e030385a6178d"),
+                    (2281, "4198a2bf885846b22a4f0988a13c0573e8dc4d1f5432225a265deb0227e3fb52")))
+    Seq(LoCEC.Xgb, LoCEC.Cnn).foreach { v =>
+      val r = LoCEC.label(spark, pre, st.trainEdges, st.edges.select("src", "dst"),
+        small.copy(variant = v))
+      val comms = r.commPreds.collect().sortBy(c => (c.ego, c.comm))
+        .map(c => s"${c.ego} ${c.comm} ${bits(c.probs).mkString(" ")}")
+      val edges = r.edgePreds.select("src", "dst", "pred").as[(Long, Long, String)].collect()
+        .sortBy(e => (e._1, e._2)).map { case (s, d, l) => s"$s $d $l" }
+      r.commPreds.unpersist(blocking = true)
+      r.edgePreds.unpersist(blocking = true)
+      assert((digest(comms.toSeq), digest(edges.toSeq)) == want(v), v)
+    }
   }
 
   test("training labels outside RelationType.Major fail with a clear error") {
@@ -180,6 +208,18 @@ class LoCECDivideSpec extends SparkSpec {
       .collectFirst { case iae: IllegalArgumentException => iae }
     assert(cause.isDefined, e)
     cause.get.getMessage
+  }
+
+  test("divide rejects a user-feature vector of the wrong width, naming the user and both widths") {
+    val edges = Seq((1L, 2L), (1L, 3L), (2L, 3L)).toDF("src", "dst")
+    val ok = (1L to 3L).map(u => u -> Array.fill(p.featDims)(u.toDouble)).toMap
+    Seq(p.featDims + 1, p.featDims - 1).foreach { w =>
+      val e = intercept[IllegalArgumentException] {
+        LoCEC.divide(spark, edges, noInteractions, ok.updated(2L, Array.fill(w)(1.0)), p)
+      }
+      val want = s"user 2 has a feature vector of width $w, expected featDims = ${p.featDims}"
+      assert(e.getMessage.contains(want), e.getMessage)
+    }
   }
 
   test("divide rejects a self-loop and names it") {

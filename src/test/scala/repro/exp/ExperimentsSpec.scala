@@ -96,6 +96,28 @@ class ExperimentsSpec extends SparkSpec {
     assert(entries == without)
   }
 
+  /** The hash Table V split on before `inTrainSplit`; Scala 2.13.17
+    * deprecates it. */
+  @annotation.nowarn("cat=deprecation")
+  private def productHash(ego: Long, comm: Int, seed: Long): Int =
+    scala.util.hashing.MurmurHash3.productHash((ego, comm, seed))
+
+  test("Table V's split hash equals MurmurHash3.productHash on every community") {
+    // so the 80/20 split, and Table V's F1, stay where they were
+    val s = Experiments.setup(spark, numUsers = 300, seed = 11)
+    val pre = LoCEC.divide(spark, s.edges, s.interactions, s.userFeatures, LoCEC.Params())
+    val comms = pre.commFeats.collect()
+    Seq(pre.assigns, pre.commFeats).foreach(_.unpersist(blocking = true))
+    assert(comms.length > 100)
+    Seq(42L, 0L, -1L, Long.MaxValue).foreach { seed =>
+      comms.foreach { cf =>
+        val old = productHash(cf.ego, cf.comm, seed)
+        assert((cf.ego, cf.comm, seed).## == old, (cf.ego, cf.comm, seed))
+        assert(Experiments.inTrainSplit(cf, seed) == (math.floorMod(old, 10) < 8), (cf.ego, cf.comm, seed))
+      }
+    }
+  }
+
   test("formatScores renders one row per score") {
     val scores = Experiments.evaluate(spark,
       st.testEdges.select($"src", $"dst", $"label" as "pred"), st.testEdges)

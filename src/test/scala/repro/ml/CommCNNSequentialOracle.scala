@@ -9,12 +9,12 @@ import scala.util.Random
 object CommCNNSequentialOracle {
   import CommCNN._
 
-  def train(mats: Array[Array[Array[Double]]], labels: Array[Int],
+  def train(xs: Array[Array[Double]], k: Int, d: Int, labels: Array[Int],
             classes: Array[String], cfg: Config): Model = {
-    val net = new Network(cfg.copy(numClasses = classes.length))
+    val net = new Network(k, d, classes.length, cfg)
     val adam = new Adam(net, cfg.learningRate)
-    val tensors = mats.map(toTensor)
-    val idx = Array.tabulate(mats.length)(identity)
+    val tensors = xs.map(net.input)
+    val idx = Array.tabulate(xs.length)(identity)
     val rng = new Random(cfg.seed + 1)
     (0 until cfg.epochs).foreach { _ =>
       var i = idx.length - 1

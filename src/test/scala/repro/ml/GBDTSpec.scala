@@ -76,7 +76,8 @@ class GBDTSpec extends AnyFunSuite {
     val pts = Array(Array(0.0, 0.0), Array(0.0, 1.0), Array(1.0, 0.0), Array(1.0, 1.0))
     val x = pts.flatMap(p => Array.fill(8)(p)) ++ Array(Array(0.0, 0.0))
     val y = x.map(p => if (p(0) != p(1)) "odd" else "even")
-    val m = GBDT.train(x, y, GBDT.Params(numRounds = 20, maxDepth = 2, minSamplesLeaf = 1))
+    val m = GBDT.train(x, y,
+      GBDT.Params(numRounds = 20, tree = RegressionTree.Params(maxDepth = 2, minSamplesLeaf = 1)))
     pts.foreach { p =>
       val expected = if (p(0) != p(1)) "odd" else "even"
       assert(m.predictLabel(p) == expected, p.toSeq)
@@ -106,23 +107,23 @@ class GBDTSpec extends AnyFunSuite {
     assert(m2.predictLabel(x(0)) == m.predictLabel(x(0)))
   }
 
+  /** The oracle's allocating softmax. */
+  private def softmax(z: Array[Double]): Array[Double] = {
+    val mx = z.max
+    val e = z.map(v => math.exp(v - mx))
+    val s = e.sum
+    e.map(_ / s)
+  }
+
   /** Boosting exactly as `GBDT.train` does it, with every tree fit by the
     * re-sorting oracle. */
   private def oracleModel(x: Array[Array[Double]], y: Array[String], params: GBDT.Params): GBDT.Model = {
-    def softmax(z: Array[Double]): Array[Double] = {
-      val mx = z.max
-      val e = z.map(v => math.exp(v - mx))
-      val s = e.sum
-      e.map(_ / s)
-    }
     val classes = y.distinct.sorted
     val k = classes.length
     val yi = y.map(classes.zipWithIndex.toMap)
     val n = x.length
     val rows = Array.tabulate(n)(identity)
     val scores = Array.fill(n, k)(0.0)
-    val treeParams = RegressionTree.Params(params.maxDepth, params.minSamplesLeaf,
-                                           params.lambda, params.gamma)
     val trees = Array.fill(params.numRounds) {
       val roundTrees = Array.tabulate(k) { c =>
         val grad = new Array[Double](n)
@@ -132,7 +133,7 @@ class GBDTSpec extends AnyFunSuite {
           grad(i) = p - (if (yi(i) == c) 1.0 else 0.0)
           hess(i) = math.max(p * (1.0 - p), 1e-6)
         }
-        RegressionTreeOracle.fit(x, grad, hess, rows, treeParams)
+        RegressionTreeOracle.fit(x, grad, hess, rows, params.tree)
       }
       for (i <- 0 until n; c <- 0 until k)
         scores(i)(c) += params.learningRate * roundTrees(c).predict(x(i))
@@ -141,10 +142,14 @@ class GBDTSpec extends AnyFunSuite {
     new GBDT.Model(classes, trees, params.learningRate)
   }
 
+  /** Raw scores bitwise equal, and `a`'s probabilities bitwise the oracle
+    * softmax of `b`'s scores. */
   private def sameRaw(a: GBDT.Model, b: GBDT.Model, xs: Array[Array[Double]]): Unit =
     xs.foreach { xi =>
       assert(a.predictRaw(xi).map(java.lang.Double.doubleToRawLongBits).toSeq ==
              b.predictRaw(xi).map(java.lang.Double.doubleToRawLongBits).toSeq, xi.toSeq)
+      assert(a.predictProba(xi).map(java.lang.Double.doubleToRawLongBits).toSeq ==
+             softmax(b.predictRaw(xi)).map(java.lang.Double.doubleToRawLongBits).toSeq, xi.toSeq)
     }
 
   test("predictRaw is bitwise the oracle-driven boosting's on tied features") {
@@ -152,7 +157,7 @@ class GBDTSpec extends AnyFunSuite {
     val (xb, y) = blobs(120, 10)
     // quantize to few levels and add an all-zero and a constant column
     val x = xb.map(xi => xi.map(v => math.round(v * 2) / 2.0) ++ Array(0.0, 3.0))
-    val params = GBDT.Params(numRounds = 8, maxDepth = 4, minSamplesLeaf = 3)
+    val params = GBDT.Params(numRounds = 8, tree = RegressionTree.Params(maxDepth = 4, minSamplesLeaf = 3))
     val probes = x ++ Array.fill(20)(Array.fill(4)(rng.nextGaussian() * 3))
     sameRaw(GBDT.train(x, y, params), oracleModel(x, y, params), probes)
   }
@@ -161,7 +166,7 @@ class GBDTSpec extends AnyFunSuite {
     val (x0, y0) = blobs(45, 11)
     val x = x0 ++ x0.map(_.clone())
     val y = y0 ++ y0
-    val params = GBDT.Params(numRounds = 6, minSamplesLeaf = 2)
+    val params = GBDT.Params(numRounds = 6, tree = RegressionTree.Params(minSamplesLeaf = 2))
     val m = GBDT.train(x, y, params)
     sameRaw(m, oracleModel(x, y, params), x)
     assert(x.indices.count(i => m.predictLabel(x(i)) == y(i)) > 0.9 * x.length)
@@ -181,13 +186,13 @@ class GBDTSpec extends AnyFunSuite {
   test("all-constant features give single-leaf trees") {
     val x = Array.fill(30)(Array(1.0, 0.0, -2.0))
     val y = Array.tabulate(30)(i => s"c${i % 3}")
-    val m = GBDT.train(x, y, GBDT.Params(numRounds = 4, minSamplesLeaf = 1))
+    val m = GBDT.train(x, y, GBDT.Params(numRounds = 4, tree = RegressionTree.Params(minSamplesLeaf = 1)))
     assert(m.trees.flatten.forall(_.numLeaves == 1))
   }
 
   test("fewer than 2 * minSamplesLeaf rows give single-leaf trees") {
     val (x, y) = blobs(9, 13)
-    val m = GBDT.train(x, y, GBDT.Params(numRounds = 4, minSamplesLeaf = 5))
+    val m = GBDT.train(x, y, GBDT.Params(numRounds = 4, tree = RegressionTree.Params(minSamplesLeaf = 5)))
     assert(m.trees.flatten.forall(_.numLeaves == 1))
   }
 

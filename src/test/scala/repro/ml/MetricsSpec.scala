@@ -74,10 +74,6 @@ class MetricsSpec extends AnyFunSuite {
     assert(r.length == 3)
   }
 
-  test("accuracy on mixed predictions") {
-    assert(Metrics.accuracy(Seq("a", "b", "c"), Seq("a", "b", "a")) == 2.0 / 3)
-  }
-
   test("length mismatch throws") {
     intercept[IllegalArgumentException] {
       Metrics.perClass(Seq("a"), Seq("a", "b"))
